@@ -25,7 +25,8 @@ const MAGIC: &str = "cad-state";
 /// produces bit-identical correlations to an uninterrupted run). v3 adds
 /// the hostile-stream state: gap policy + reorder slack, per-slot churn
 /// warm-up gates, and the masked (pairwise-deletion) engine snapshot.
-/// v1/v2 files still load, defaulting to the exact engine / `Fail` policy.
+/// Only v3 loads: no committed fixture or caller needs the older layouts,
+/// so they fail with a named `unsupported state version` error.
 const VERSION: u32 = 3;
 
 /// Errors surfaced when loading persisted state.
@@ -223,7 +224,7 @@ pub fn load_detector<R: Read>(input: R) -> Result<CadDetector, StateError> {
         Some(rest) if rest.starts_with('v') => parse(&rest[1..], "version")?,
         _ => return Err(fmt_err(format!("unsupported header {header:?}"))),
     };
-    if version == 0 || version > VERSION {
+    if version != VERSION {
         return Err(fmt_err(format!("unsupported state version v{version}")));
     }
     let n_sensors: usize = parse(lines.expect("n_sensors")?, "n_sensors")?;
@@ -269,34 +270,22 @@ pub fn load_detector<R: Read>(input: R) -> Result<CadDetector, StateError> {
         max_levels: parse(it.next().unwrap_or(""), "louvain max_levels")?,
         min_gain: parse(it.next().unwrap_or(""), "louvain min_gain")?,
     };
-    // v1 predates round engines: those detectors were all exact.
-    let engine = if version >= 2 {
-        let engine_line = lines.expect("engine")?.to_string();
-        if engine_line == "exact" {
-            EngineChoice::Exact
-        } else if let Some(rest) = engine_line.strip_prefix("incremental") {
-            EngineChoice::Incremental {
-                rebuild_every: parse(rest, "rebuild_every")?,
-            }
-        } else {
-            return Err(fmt_err(format!("unknown engine {engine_line:?}")));
+    let engine_line = lines.expect("engine")?.to_string();
+    let engine = if engine_line == "exact" {
+        EngineChoice::Exact
+    } else if let Some(rest) = engine_line.strip_prefix("incremental") {
+        EngineChoice::Incremental {
+            rebuild_every: parse(rest, "rebuild_every")?,
         }
     } else {
-        EngineChoice::Exact
+        return Err(fmt_err(format!("unknown engine {engine_line:?}")));
     };
-    // v1/v2 predate the hostile-stream subsystem: strict in-order, NaN-free
-    // input was the only supported regime.
-    let (gap_policy, reorder_slack) = if version >= 3 {
-        let line = lines.expect("gap_policy")?.to_string();
-        let mut it = line.split_whitespace();
-        let tag: u8 = parse(it.next().unwrap_or(""), "gap_policy tag")?;
-        let policy = GapPolicy::from_tag(tag)
-            .ok_or_else(|| fmt_err(format!("unknown gap policy tag {tag}")))?;
-        let slack: usize = parse(it.next().unwrap_or(""), "reorder_slack")?;
-        (policy, slack)
-    } else {
-        (GapPolicy::Fail, 0)
-    };
+    let gap_line = lines.expect("gap_policy")?.to_string();
+    let mut it = gap_line.split_whitespace();
+    let tag: u8 = parse(it.next().unwrap_or(""), "gap_policy tag")?;
+    let gap_policy =
+        GapPolicy::from_tag(tag).ok_or_else(|| fmt_err(format!("unknown gap policy tag {tag}")))?;
+    let reorder_slack: usize = parse(it.next().unwrap_or(""), "reorder_slack")?;
 
     let stats_line = lines.expect("stats")?.to_string();
     let mut it = stats_line.split_whitespace();
@@ -306,12 +295,7 @@ pub fn load_detector<R: Read>(input: R) -> Result<CadDetector, StateError> {
         parse(it.next().unwrap_or(""), "stats m2")?,
     );
     let prev_outliers: Vec<usize> = parse_list(lines.expect("prev_outliers")?, "outlier id")?;
-    // Pre-v3 detectors never reshaped, so every slot is past warm-up.
-    let warmup_until: Vec<usize> = if version >= 3 {
-        parse_list(lines.expect("warmup_until")?, "warmup gate")?
-    } else {
-        vec![0; n_sensors]
-    };
+    let warmup_until: Vec<usize> = parse_list(lines.expect("warmup_until")?, "warmup gate")?;
     if warmup_until.len() != n_sensors {
         return Err(fmt_err("warmup_until length does not match n_sensors"));
     }
@@ -431,8 +415,8 @@ const STREAM_MAGIC: &str = "cad-stream";
 /// (`cad_core::explain`) so `/explain` survives a daemon restart. v3 adds
 /// the degraded-input bookkeeping (tick sequencing, the reorder buffer,
 /// hold-last values, and drop/fill counters) so a hostile stream resumes
-/// mid-gap. Older files still load: v1 with an empty journal, v1/v2 with
-/// `next_seq = total` and an empty reorder buffer.
+/// mid-gap. Only v3 loads; older headers fail with a named
+/// `unsupported stream version` error.
 const STREAM_VERSION: u32 = 3;
 
 /// Serialise a [`StreamingCad`] wrapper: the ring buffer and its cursors,
@@ -492,7 +476,7 @@ pub fn load_stream<R: Read>(input: R) -> Result<crate::StreamingCad, StateError>
         Some(rest) if rest.starts_with('v') => parse(&rest[1..], "stream version")?,
         _ => return Err(fmt_err(format!("unsupported stream header {header:?}"))),
     };
-    if version == 0 || version > STREAM_VERSION {
+    if version != STREAM_VERSION {
         return Err(fmt_err(format!("unsupported stream version v{version}")));
     }
     let cursor = lines.expect("cursor")?.to_string();
@@ -502,69 +486,56 @@ pub fn load_stream<R: Read>(input: R) -> Result<crate::StreamingCad, StateError>
     let fresh: usize = parse(it.next().unwrap_or(""), "cursor fresh")?;
     let total: usize = parse(it.next().unwrap_or(""), "cursor total")?;
     let ring: Vec<f64> = parse_list(lines.expect("ring")?, "ring value")?;
-    // v1/v2 predate the degraded-input bookkeeping: those streams resume
-    // strictly in order (`next_seq = total`) with an empty reorder buffer.
-    let degraded = if version >= 3 {
-        let seq_line = lines.expect("seq")?.to_string();
-        let mut it = seq_line.split_whitespace();
-        let next_seq: u64 = parse(it.next().unwrap_or(""), "next_seq")?;
-        let counters = StreamCounters {
-            late_dropped: parse(it.next().unwrap_or(""), "late_dropped")?,
-            gaps_filled: parse(it.next().unwrap_or(""), "gaps_filled")?,
-            nan_stored: parse(it.next().unwrap_or(""), "nan_stored")?,
-            held_samples: parse(it.next().unwrap_or(""), "held_samples")?,
-        };
-        let last_valid: Vec<f64> = parse_list(lines.expect("last_valid")?, "last_valid value")?;
-        let n_pending: usize = parse(lines.expect("pending")?, "pending count")?;
-        let mut pending = std::collections::BTreeMap::new();
-        for _ in 0..n_pending {
-            let line = lines.expect("p")?.to_string();
-            let mut it = line.split_whitespace();
-            let seq: u64 = parse(it.next().unwrap_or(""), "pending seq")?;
-            let row: Vec<f64> = it
-                .map(|tok| parse(tok, "pending value"))
-                .collect::<Result<Vec<f64>, _>>()?;
-            pending.insert(seq, row);
-        }
-        Some((next_seq, pending, last_valid, counters))
-    } else {
-        None
+    let seq_line = lines.expect("seq")?.to_string();
+    let mut it = seq_line.split_whitespace();
+    let next_seq: u64 = parse(it.next().unwrap_or(""), "next_seq")?;
+    let counters = StreamCounters {
+        late_dropped: parse(it.next().unwrap_or(""), "late_dropped")?,
+        gaps_filled: parse(it.next().unwrap_or(""), "gaps_filled")?,
+        nan_stored: parse(it.next().unwrap_or(""), "nan_stored")?,
+        held_samples: parse(it.next().unwrap_or(""), "held_samples")?,
     };
-    // v1 predates the forensics journal: those streams load with an empty,
-    // disabled journal (capacity can be raised after restore).
-    let journal = if version >= 2 {
-        let header = lines.expect("journal")?.to_string();
-        let mut it = header.split_whitespace();
-        let capacity: usize = parse(it.next().unwrap_or(""), "journal capacity")?;
-        let next_round: u64 = parse(it.next().unwrap_or(""), "journal next_round")?;
-        let len: usize = parse(it.next().unwrap_or(""), "journal len")?;
-        if len > capacity {
-            return Err(fmt_err("journal holds more records than its capacity"));
-        }
-        let mut records = Vec::with_capacity(len);
-        for _ in 0..len {
-            let line = lines.expect("jr")?.to_string();
-            let mut it = line.split_whitespace();
-            records.push(crate::explain::RoundRecord {
-                round: parse(it.next().unwrap_or(""), "jr round")?,
-                n_r: parse(it.next().unwrap_or(""), "jr n_r")?,
-                abnormal: match it.next().unwrap_or("") {
-                    "0" => false,
-                    "1" => true,
-                    other => return Err(fmt_err(format!("bad jr abnormal flag {other:?}"))),
-                },
-                mu_pre: parse(it.next().unwrap_or(""), "jr mu_pre")?,
-                sigma_pre: parse(it.next().unwrap_or(""), "jr sigma_pre")?,
-                eta_sigma: parse(it.next().unwrap_or(""), "jr eta_sigma")?,
-                outlier_sensors: it
-                    .map(|tok| parse(tok, "jr outlier id"))
-                    .collect::<Result<Vec<u32>, _>>()?,
-            });
-        }
-        crate::explain::ExplainJournal::restore(capacity, next_round, records)
-    } else {
-        crate::explain::ExplainJournal::with_capacity(0)
-    };
+    let last_valid: Vec<f64> = parse_list(lines.expect("last_valid")?, "last_valid value")?;
+    let n_pending: usize = parse(lines.expect("pending")?, "pending count")?;
+    let mut pending = std::collections::BTreeMap::new();
+    for _ in 0..n_pending {
+        let line = lines.expect("p")?.to_string();
+        let mut it = line.split_whitespace();
+        let seq: u64 = parse(it.next().unwrap_or(""), "pending seq")?;
+        let row: Vec<f64> = it
+            .map(|tok| parse(tok, "pending value"))
+            .collect::<Result<Vec<f64>, _>>()?;
+        pending.insert(seq, row);
+    }
+    let journal_line = lines.expect("journal")?.to_string();
+    let mut it = journal_line.split_whitespace();
+    let capacity: usize = parse(it.next().unwrap_or(""), "journal capacity")?;
+    let next_round: u64 = parse(it.next().unwrap_or(""), "journal next_round")?;
+    let len: usize = parse(it.next().unwrap_or(""), "journal len")?;
+    if len > capacity {
+        return Err(fmt_err("journal holds more records than its capacity"));
+    }
+    let mut records = Vec::with_capacity(len);
+    for _ in 0..len {
+        let line = lines.expect("jr")?.to_string();
+        let mut it = line.split_whitespace();
+        records.push(crate::explain::RoundRecord {
+            round: parse(it.next().unwrap_or(""), "jr round")?,
+            n_r: parse(it.next().unwrap_or(""), "jr n_r")?,
+            abnormal: match it.next().unwrap_or("") {
+                "0" => false,
+                "1" => true,
+                other => return Err(fmt_err(format!("bad jr abnormal flag {other:?}"))),
+            },
+            mu_pre: parse(it.next().unwrap_or(""), "jr mu_pre")?,
+            sigma_pre: parse(it.next().unwrap_or(""), "jr sigma_pre")?,
+            eta_sigma: parse(it.next().unwrap_or(""), "jr eta_sigma")?,
+            outlier_sensors: it
+                .map(|tok| parse(tok, "jr outlier id"))
+                .collect::<Result<Vec<u32>, _>>()?,
+        });
+    }
+    let journal = crate::explain::ExplainJournal::restore(capacity, next_round, records);
     // The detector state follows in the same reader; `load_detector`
     // consumes the remaining lines.
     let mut detector = load_detector(lines.reader)?;
@@ -580,17 +551,15 @@ pub fn load_stream<R: Read>(input: R) -> Result<crate::StreamingCad, StateError>
     if next >= w || filled > w || fresh > w {
         return Err(fmt_err("stream cursor out of range"));
     }
+    if last_valid.len() != n {
+        return Err(fmt_err("last_valid length does not match n_sensors"));
+    }
+    if pending.values().any(|row| row.len() != n) {
+        return Err(fmt_err("pending tick width does not match n_sensors"));
+    }
     let mut stream =
         crate::StreamingCad::from_persisted(detector, ring, next, filled, fresh, total);
-    if let Some((next_seq, pending, last_valid, counters)) = degraded {
-        if last_valid.len() != n {
-            return Err(fmt_err("last_valid length does not match n_sensors"));
-        }
-        if pending.values().any(|row| row.len() != n) {
-            return Err(fmt_err("pending tick width does not match n_sensors"));
-        }
-        stream.restore_degraded(next_seq, pending, last_valid, counters);
-    }
+    stream.restore_degraded(next_seq, pending, last_valid, counters);
     Ok(stream)
 }
 
@@ -742,39 +711,6 @@ mod tests {
     }
 
     #[test]
-    fn v1_stream_loads_with_empty_journal() {
-        use crate::StreamingCad;
-        let det = CadDetector::new(4, config());
-        let stream = StreamingCad::new(det);
-        let mut buf = Vec::new();
-        save_stream(&stream, &mut buf).expect("save stream");
-        let text = String::from_utf8(buf).expect("UTF-8");
-        // Rewrite as a v1 snapshot: drop the journal and degraded-input
-        // sections plus the v3 detector lines.
-        let v1: String = text
-            .replace("cad-stream v3", "cad-stream v1")
-            .replace("cad-state v3", "cad-state v1")
-            .replace("engine exact\n", "")
-            .lines()
-            .filter(|l| {
-                !l.starts_with("journal")
-                    && !l.starts_with("jr ")
-                    && !l.starts_with("seq ")
-                    && !l.starts_with("last_valid")
-                    && !l.starts_with("pending")
-                    && !l.starts_with("p ")
-                    && !l.starts_with("gap_policy")
-                    && !l.starts_with("warmup_until")
-            })
-            .collect::<Vec<_>>()
-            .join("\n")
-            + "\n";
-        let restored = load_stream(v1.as_bytes()).expect("v1 stream load");
-        assert_eq!(restored.detector().explain().capacity(), 0);
-        assert!(restored.detector().explain().is_empty());
-    }
-
-    #[test]
     fn stream_roundtrip_incremental_engine() {
         assert_stream_roundtrip(EngineChoice::Incremental { rebuild_every: 50 });
     }
@@ -910,30 +846,6 @@ mod tests {
     }
 
     #[test]
-    fn v1_state_loads_as_exact_engine() {
-        // A v1 snapshot has no engine lines; it must load with the exact
-        // engine and otherwise intact fields.
-        let det = CadDetector::new(4, config());
-        let mut buf = Vec::new();
-        save_detector(&det, &mut buf).expect("save");
-        let text = String::from_utf8(buf).expect("UTF-8");
-        let v1: String = text
-            .replace("cad-state v3", "cad-state v1")
-            .lines()
-            .filter(|l| {
-                *l != "engine exact"
-                    && !l.starts_with("gap_policy")
-                    && !l.starts_with("warmup_until")
-            })
-            .collect::<Vec<_>>()
-            .join("\n")
-            + "\n";
-        let restored = load_detector(v1.as_bytes()).expect("v1 load");
-        assert_eq!(restored.config().engine, EngineChoice::Exact);
-        assert_eq!(restored.config(), det.config());
-    }
-
-    #[test]
     fn rejects_future_version() {
         let err = load_detector("cad-state v99\n".as_bytes()).unwrap_err();
         assert!(matches!(err, StateError::Format(_)), "{err}");
@@ -994,24 +906,30 @@ mod tests {
     }
 
     #[test]
-    fn v2_state_loads_with_fail_policy() {
-        // A v2 snapshot predates GapPolicy: it must load as strict
-        // (Fail, slack 0) with every slot past warm-up.
+    fn pre_v3_headers_fail_with_named_version_error() {
+        // The v1/v2 layouts of both formats are no longer loadable; each
+        // old header must be refused by name, not misparsed.
         let det = CadDetector::new(4, config());
-        let mut buf = Vec::new();
-        save_detector(&det, &mut buf).expect("save");
-        let text = String::from_utf8(buf).expect("UTF-8");
-        let v2: String = text
-            .replace("cad-state v3", "cad-state v2")
-            .lines()
-            .filter(|l| !l.starts_with("gap_policy") && !l.starts_with("warmup_until"))
-            .collect::<Vec<_>>()
-            .join("\n")
-            + "\n";
-        let restored = load_detector(v2.as_bytes()).expect("v2 load");
-        assert_eq!(restored.config().gap_policy, GapPolicy::Fail);
-        assert_eq!(restored.config().reorder_slack, 0);
-        assert_eq!(restored.config(), det.config());
+        let mut state = Vec::new();
+        save_detector(&det, &mut state).expect("save");
+        let state = String::from_utf8(state).expect("UTF-8");
+        let mut stream = Vec::new();
+        save_stream(&crate::StreamingCad::new(det), &mut stream).expect("save stream");
+        let stream = String::from_utf8(stream).expect("UTF-8");
+        for v in ["v1", "v2"] {
+            let old = state.replace("cad-state v3", &format!("cad-state {v}"));
+            let err = load_detector(old.as_bytes()).unwrap_err().to_string();
+            assert!(
+                err.contains(&format!("unsupported state version {v}")),
+                "{err}"
+            );
+            let old = stream.replace("cad-stream v3", &format!("cad-stream {v}"));
+            let err = load_stream(old.as_bytes()).unwrap_err().to_string();
+            assert!(
+                err.contains(&format!("unsupported stream version {v}")),
+                "{err}"
+            );
+        }
     }
 
     #[test]

@@ -33,7 +33,7 @@ pub enum TraceEvent {
     RebuildTriggered { rounds_since_rebuild: u64 },
     /// The serve ingress queue refused a fast-path enqueue.
     BackpressureEntered { queue_depth: u64 },
-    /// A previously blocked enqueue completed.
+    /// A throttled push was admitted to its ingress queue.
     BackpressureExited { waited_nanos: u64 },
     /// A session was admitted.
     SessionCreated { session_id: u64 },
@@ -41,10 +41,9 @@ pub enum TraceEvent {
     SessionDropped { session_id: u64 },
     /// A session worker panicked and the session was quarantined.
     SessionPanicked { session_id: u64 },
-    /// A session snapshot was written.
+    /// A session's state file was written (hibernation, on-demand
+    /// snapshot or shutdown).
     SnapshotSaved { session_id: u64 },
-    /// A session snapshot was restored.
-    SnapshotLoaded { session_id: u64 },
     /// An idle session spilled its state to the hibernation tier.
     SessionHibernated { session_id: u64 },
     /// A hibernated session was loaded back into memory.

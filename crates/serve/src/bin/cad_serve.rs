@@ -10,12 +10,11 @@
 //! | `CAD_SERVE_MAX_SENSORS`  | `1024`           | per-session sensor limit        |
 //! | `CAD_SERVE_QUEUE`        | `8192`           | ingress capacity in ticks       |
 //! | `CAD_SERVE_MAX_CONNS`    | `1024`           | concurrent connection cap       |
-//! | `CAD_SERVE_SNAPSHOT_DIR` | unset            | snapshot/restore directory      |
 //! | `CAD_OPS_ADDR`           | unset            | HTTP ops-plane bind address     |
 //! | `CAD_EXPLAIN_ROUNDS`     | `256`            | forensics journal bound (0 off) |
 //! | `CAD_SERVE_PUMP_GROUPS`  | `0` (auto)       | pump groups (0 = min(shards, cores)) |
 //! | `CAD_HIBERNATE_AFTER`    | `0` (off)        | idle sweeps before hibernation  |
-//! | `CAD_SPILL_DIR`          | unset            | hibernation spill directory     |
+//! | `CAD_SPILL_DIR`          | unset            | state directory (session files)  |
 //! | `CAD_SERVE_IO_WORKERS`   | `0` (auto)       | connection I/O worker threads   |
 //! | `CAD_SERVE_POLLER`       | platform default | poller backend: `epoll`\|`poll` |
 //! | `CAD_WAL_DIR`            | unset            | write-ahead-log directory (off by default) |
@@ -35,7 +34,10 @@
 //! | `CAD_OBS_DUMP`           | unset            | write metrics text here on exit |
 //!
 //! Shutdown is graceful on a client `Shutdown` frame: the queue drains
-//! and every session is persisted before the process exits. With
+//! and, with `CAD_SPILL_DIR` set, every session's file is written before
+//! the process exits. The retired `CAD_SERVE_SNAPSHOT_DIR` is refused
+//! (exit 2) rather than ignored, so no deployment silently loses
+//! persistence. With
 //! `CAD_OBS_DUMP=path` set, the final state of the `cad-obs` registry is
 //! written to `path` in Prometheus-style text exposition after the drain,
 //! so a scrape survives the process.
@@ -64,9 +66,13 @@ fn main() {
     cfg.max_sensors = env_usize("CAD_SERVE_MAX_SENSORS", cfg.max_sensors);
     cfg.queue_capacity = env_usize("CAD_SERVE_QUEUE", cfg.queue_capacity);
     cfg.max_connections = env_usize("CAD_SERVE_MAX_CONNS", cfg.max_connections);
-    cfg.snapshot_dir = std::env::var("CAD_SERVE_SNAPSHOT_DIR")
-        .ok()
-        .map(PathBuf::from);
+    if std::env::var_os("CAD_SERVE_SNAPSHOT_DIR").is_some() {
+        eprintln!(
+            "cad-serve: CAD_SERVE_SNAPSHOT_DIR is no longer read; session state lives in \
+             CAD_SPILL_DIR (set that instead)"
+        );
+        std::process::exit(2);
+    }
     cfg.ops_addr = std::env::var("CAD_OPS_ADDR").ok();
     cfg.explain_rounds = env_usize("CAD_EXPLAIN_ROUNDS", cfg.explain_rounds);
     cfg.pump_groups = env_usize("CAD_SERVE_PUMP_GROUPS", cfg.pump_groups);
@@ -122,11 +128,11 @@ fn main() {
         );
     }
     eprintln!(
-        "cad-serve: listening on {addr} ({} shards, {} max sessions, queue {} ticks, snapshots: {}, hibernation: {})",
+        "cad-serve: listening on {addr} ({} shards, {} max sessions, queue {} ticks, state: {}, hibernation: {})",
         cfg.shards,
         cfg.max_sessions,
         cfg.queue_capacity,
-        cfg.snapshot_dir
+        cfg.spill_dir
             .as_deref()
             .map(|p| p.display().to_string())
             .unwrap_or_else(|| "disabled".into()),

@@ -223,8 +223,8 @@ impl ServeClient {
         }
     }
 
-    /// Persist one session to the server's snapshot directory now.
-    /// Returns the snapshot size in bytes.
+    /// Write one session's file to the server's state directory now.
+    /// Returns the file size in bytes.
     pub fn snapshot(&mut self, session_id: u64) -> Result<u64, ClientError> {
         match self.request(&Frame::Snapshot { session_id })? {
             Frame::SnapshotAck { bytes, .. } => Ok(bytes),
@@ -232,7 +232,7 @@ impl ServeClient {
         }
     }
 
-    /// Drop a session (and its snapshot file, if any).
+    /// Drop a session (and its session file, if any).
     pub fn close_session(&mut self, session_id: u64) -> Result<(), ClientError> {
         match self.request(&Frame::CloseSession { session_id })? {
             Frame::CloseAck { .. } => Ok(()),

@@ -2,15 +2,16 @@
 //!
 //! Everything here is `std`-only: a length-prefixed binary protocol
 //! ([`protocol`]), a sharded session manager behind a bounded ingress
-//! queue ([`session`]), a TCP server with graceful snapshot shutdown
-//! ([`server`]) and a synchronous client ([`client`]).
+//! queue ([`session`]), a TCP server that persists every session on
+//! graceful shutdown ([`server`]) and a synchronous client ([`client`]).
 //!
 //! The layer is the horizontal-scale seam: clients own sensor groups
 //! ("sessions"), the server multiplexes thousands of
 //! [`cad_core::StreamingCad`] detectors across `cad-runtime` worker
 //! shards, and every session's outcome stream is bit-identical to a
 //! serial loop over the same pushes — including across a server restart,
-//! which restores sessions mid-window from `cad-stream v1` snapshots.
+//! which resumes sessions mid-window from their checksummed session files
+//! (`cad-spill v1` header over a `cad-stream v3` payload) plus the WAL.
 //! DESIGN.md ("Serving layer") documents the wire protocol table,
 //! backpressure and shutdown semantics, and the session→shard routing.
 
@@ -46,7 +47,7 @@ mod tests {
     use std::sync::mpsc;
 
     use super::protocol::{codes, SessionSpec, WireEngine};
-    use super::session::{Command, EnqueueError, ManagerConfig, Reply, SessionManager};
+    use super::session::{Command, ManagerConfig, Reply, SessionManager, TryEnqueueError};
 
     fn manager(cfg: ManagerConfig) -> (SessionManager, std::thread::JoinHandle<usize>) {
         let (mgr, pump) = SessionManager::new(cfg).expect("manager");
@@ -56,7 +57,7 @@ mod tests {
 
     fn create(mgr: &SessionManager, id: u64, spec: SessionSpec) -> Reply {
         let (tx, rx) = mpsc::channel();
-        mgr.enqueue(Command::Create {
+        mgr.try_enqueue(Command::Create {
             session_id: id,
             spec,
             reply: tx.into(),
@@ -67,7 +68,7 @@ mod tests {
 
     fn push(mgr: &SessionManager, id: u64, base: u64, n: u32, samples: Vec<f64>) -> Reply {
         let (tx, rx) = mpsc::channel();
-        mgr.enqueue(Command::Push {
+        mgr.try_enqueue(Command::Push {
             session_id: id,
             base_tick: base,
             n_sensors: n,
@@ -167,7 +168,7 @@ mod tests {
         }
         // Closing one frees a slot.
         let (tx, rx) = mpsc::channel();
-        mgr.enqueue(Command::Close {
+        mgr.try_enqueue(Command::Close {
             session_id: 1,
             reply: tx.into(),
         })
@@ -260,7 +261,7 @@ mod tests {
         .expect("manager");
 
         let (tx, rx) = mpsc::channel();
-        mgr.enqueue(Command::Create {
+        mgr.try_enqueue(Command::Create {
             session_id: 1,
             spec: SessionSpec::new(n, 8, 2),
             reply: tx.into(),
@@ -274,15 +275,25 @@ mod tests {
                 for t in 0..20u64 {
                     let (tx, rx) = mpsc::channel();
                     // Cost 2 per push against capacity 4: once the pump
-                    // is asleep the third push must block.
-                    mgr.enqueue(Command::Push {
+                    // is asleep the third push is refused, and the
+                    // producer retries the same command until it fits.
+                    let mut cmd = Command::Push {
                         session_id: 1,
                         base_tick: t * 2,
                         n_sensors: n,
                         samples: vec![t as f64, -(t as f64), t as f64 + 0.5, 0.25],
                         reply: tx.into(),
-                    })
-                    .expect("enqueue");
+                    };
+                    loop {
+                        match mgr.try_enqueue(cmd) {
+                            Ok(_) => break,
+                            Err(TryEnqueueError::Full(back)) => {
+                                cmd = back;
+                                std::thread::sleep(std::time::Duration::from_millis(5));
+                            }
+                            Err(TryEnqueueError::ShuttingDown(_)) => panic!("manager closed"),
+                        }
+                    }
                     receivers.push(rx);
                 }
                 receivers
@@ -511,13 +522,13 @@ mod tests {
         mgr.close();
         pump.join().expect("pump");
         let (tx, _rx) = mpsc::channel();
-        assert_eq!(
-            mgr.enqueue(Command::Create {
+        assert!(matches!(
+            mgr.try_enqueue(Command::Create {
                 session_id: 1,
                 spec: SessionSpec::new(2, 8, 2),
                 reply: tx.into(),
             }),
-            Err(EnqueueError::ShuttingDown)
-        );
+            Err(TryEnqueueError::ShuttingDown(_))
+        ));
     }
 }

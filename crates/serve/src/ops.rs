@@ -667,7 +667,6 @@ fn render_traced_event(e: &TracedEvent) -> String {
         TraceEvent::SessionDropped { session_id } => ("SessionDropped", "session_id", session_id),
         TraceEvent::SessionPanicked { session_id } => ("SessionPanicked", "session_id", session_id),
         TraceEvent::SnapshotSaved { session_id } => ("SnapshotSaved", "session_id", session_id),
-        TraceEvent::SnapshotLoaded { session_id } => ("SnapshotLoaded", "session_id", session_id),
         TraceEvent::SessionHibernated { session_id } => {
             ("SessionHibernated", "session_id", session_id)
         }
@@ -875,7 +874,7 @@ mod tests {
         let fx = fixture();
         let (tx, rx) = mpsc::channel();
         fx.manager
-            .enqueue(Command::Create {
+            .try_enqueue(Command::Create {
                 session_id: 7,
                 spec: SessionSpec::new(4, 16, 4),
                 reply: tx.into(),
@@ -917,7 +916,7 @@ mod tests {
         });
         let (tx, rx) = mpsc::channel();
         fx.manager
-            .enqueue(Command::Create {
+            .try_enqueue(Command::Create {
                 session_id: 3,
                 spec: SessionSpec::new(4, 16, 4),
                 reply: tx.into(),

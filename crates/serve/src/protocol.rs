@@ -56,7 +56,7 @@ pub mod codes {
     pub const BAD_PUSH: u16 = 4;
     /// The server is shutting down.
     pub const SHUTTING_DOWN: u16 = 5;
-    /// Snapshots are disabled (no snapshot directory configured).
+    /// Snapshots are disabled (no state directory, `spill_dir`, configured).
     pub const NO_SNAPSHOTS: u16 = 6;
     /// Invalid session specification.
     pub const BAD_SPEC: u16 = 7;
@@ -306,7 +306,7 @@ pub enum Frame {
     SessionAck {
         /// Echoed session id.
         session_id: u64,
-        /// `true` when the session already existed (restored snapshot or
+        /// `true` when the session already existed (restored session file or
         /// an earlier connection); the spec was ignored.
         resumed: bool,
         /// Samples the session has consumed so far — where to resume.
@@ -347,7 +347,7 @@ pub enum Frame {
         /// The counters.
         stats: ServerStats,
     },
-    /// Persist one session to the snapshot directory now.
+    /// Write one session's file to the state directory now.
     Snapshot {
         /// Session to persist.
         session_id: u64,
@@ -359,7 +359,7 @@ pub enum Frame {
         /// Snapshot size in bytes.
         bytes: u64,
     },
-    /// Drop a session (and its snapshot file, if any).
+    /// Drop a session (and its session file, if any).
     CloseSession {
         /// Session to drop.
         session_id: u64,

@@ -94,8 +94,6 @@ pub struct ServeConfig {
     /// Ops-plane response deadline: a peer that has not taken its whole
     /// response this long after it was queued is dropped.
     pub write_timeout: Duration,
-    /// Snapshot directory; `None` disables persistence.
-    pub snapshot_dir: Option<PathBuf>,
     /// Maximum concurrent connections; accepts beyond this are refused
     /// with an `ADMISSION` error frame instead of being registered.
     pub max_connections: usize,
@@ -110,7 +108,9 @@ pub struct ServeConfig {
     /// Hibernate a session after this many pump sweeps without a push
     /// (0 disables; requires `spill_dir`).
     pub hibernate_after_rounds: usize,
-    /// Hibernation spill directory; `None` disables hibernation.
+    /// The state directory: one checksummed `session-<id>.cadh` file per
+    /// persisted session, written by hibernation, `Snapshot` and shutdown
+    /// and registered at restart. `None` disables persistence.
     pub spill_dir: Option<PathBuf>,
     /// I/O worker threads (0 = auto: `min(cores, 8)`, at least 2).
     pub io_workers: usize,
@@ -143,7 +143,6 @@ impl Default for ServeConfig {
             queue_capacity: m.queue_capacity,
             read_timeout: Duration::from_millis(200),
             write_timeout: Duration::from_secs(5),
-            snapshot_dir: None,
             max_connections: 1024,
             ops_addr: None,
             explain_rounds: m.explain_rounds,
@@ -310,15 +309,14 @@ const OPS_LISTENER: u64 = u64::MAX - 2;
 const OPS_TOKEN: u64 = 1 << 62;
 
 impl CadServer {
-    /// Bind the listener and restore any snapshots found in
-    /// `cfg.snapshot_dir` (plus hibernated sessions in `cfg.spill_dir`).
+    /// Bind the listener and register every session file found in
+    /// `cfg.spill_dir` (see [`SessionManager::new`]).
     pub fn bind(cfg: ServeConfig) -> io::Result<CadServer> {
         let (manager, pump) = SessionManager::new(ManagerConfig {
             shards: cfg.shards,
             max_sessions: cfg.max_sessions,
             max_sensors: cfg.max_sensors,
             queue_capacity: cfg.queue_capacity,
-            snapshot_dir: cfg.snapshot_dir.clone(),
             explain_rounds: cfg.explain_rounds,
             pump_groups: cfg.pump_groups,
             hibernate_after_rounds: cfg.hibernate_after_rounds,
@@ -879,6 +877,13 @@ fn admit_push(shared: &IoShared, conn: &mut Conn, push: Deferred) -> bool {
     let session_id = push.cmd.session_id();
     match shared.manager.try_enqueue(push.cmd) {
         Ok(depth) => {
+            if push.throttled {
+                let waited = push.started.elapsed();
+                metrics::backpressure_wait().record_duration(waited);
+                cad_obs::tracer().emit(TraceEvent::BackpressureExited {
+                    waited_nanos: waited.as_nanos().min(u64::MAX as u128) as u64,
+                });
+            }
             conn.awaiting = Some(Pending {
                 session_id,
                 throttled: push.throttled,

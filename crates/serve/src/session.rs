@@ -24,28 +24,41 @@
 //! commands, so memory stays proportional to the configured capacity no
 //! matter how the clients batch. [`SessionManager::would_block`] lets a
 //! connection handler emit an explicit
-//! [`Backpressure`](crate::protocol::Frame) frame before it parks in
-//! [`SessionManager::enqueue`]; the poller path uses the non-blocking
-//! [`SessionManager::try_enqueue`] instead and parks the *connection*
-//! (interest off) rather than a thread. One exception keeps the system
-//! live: a batch larger than the whole capacity is admitted alone into an
-//! empty queue instead of deadlocking.
+//! [`Backpressure`](crate::protocol::Frame) frame before admission;
+//! admission itself is the non-blocking [`SessionManager::try_enqueue`],
+//! and a refused push parks the *connection* (interest off), never a
+//! thread. One exception keeps the system live: a batch larger than the
+//! whole capacity is admitted alone into an empty queue instead of
+//! deadlocking.
 //!
-//! ## Hibernation
+//! ## Session files
 //!
-//! With `hibernate_after_rounds > 0` and a `spill_dir`, a session that
-//! sees no push for that many pump sweeps (a sweep is one drain iteration
-//! of its group — roughly one batch under load, one 100 ms idle tick
-//! otherwise) is spilled: its full `cad-stream v3` snapshot (ring
-//! cursors, ExplainJournal and all) is written to a checksummed
-//! `session-<id>.cadh` file and the in-memory state is dropped, leaving
-//! only a small metadata stub. The next command for that id transparently
-//! resurrects it — bit-identical to a never-hibernated run, because the
-//! spill payload is the exact state format restarts already round-trip. A
-//! corrupted spill surfaces as [`codes::RESURRECT_FAILED`], never a
-//! panic, and the session is dropped. Restart scans `spill_dir` too:
-//! hibernated sessions survive a kill/restart without ever being loaded
-//! until their next command.
+//! A session reaches disk in exactly one form:
+//! `spill_dir/session-<id>.cadh`, a `cad-spill v1` header line (payload
+//! length, FNV-1a checksum, `n_sensors`, `samples_seen`, then four
+//! process counters) followed by the session's full `cad-stream v3`
+//! state (ring cursors, ExplainJournal and all; see `cad_core::state`).
+//! One writer (tmp file + rename) serves hibernation, the `Snapshot`
+//! command and shutdown; one [`Shard`] method reads a file back and
+//! makes its session resident. A file stays on disk after it is loaded —
+//! the next hibernate, snapshot or shutdown overwrites it — and only
+//! `Close` or an unusable payload deletes it.
+//!
+//! With `hibernate_after_rounds > 0`, a session that sees no push for
+//! that many pump sweeps (a sweep is one drain iteration of its group —
+//! roughly one batch under load, one 100 ms idle tick otherwise) is
+//! written out and its in-memory state dropped, leaving only a small
+//! metadata stub. The next command for that id transparently resurrects
+//! it, bit-identical to a never-hibernated run. A damaged payload
+//! surfaces as [`codes::RESURRECT_FAILED`], never a panic, and the
+//! session is dropped.
+//!
+//! Restart registers every file from its header alone, as hibernated:
+//! nothing is loaded until the session's next command (or until WAL
+//! replay has ticks to splice past the file). A header that does not
+//! parse fails startup with `InvalidData` naming the file. With a WAL,
+//! each file's `samples_seen` seeds the session's durable watermark —
+//! the only cross-reference between the files and the log.
 //!
 //! ## Rebalance
 //!
@@ -60,13 +73,12 @@
 //!
 //! Closing the manager wakes every group, which drains its remaining
 //! commands, replies to the waiting handlers and exits; the master then
-//! persists all resident sessions to the snapshot directory (state
-//! format: `cad-stream v3`, see `cad_core::state`). A server restarted
-//! over the same directories restores each session mid-window and resumes
+//! writes every resident session's file to `spill_dir`. A server
+//! restarted over the same directories resumes each session mid-window,
 //! bit-identically.
 
 use std::collections::{BTreeMap, VecDeque};
-use std::io::BufRead;
+use std::io::{BufRead, Write};
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicBool, AtomicI64, AtomicU64, Ordering};
 use std::sync::mpsc::Sender;
@@ -101,13 +113,10 @@ pub struct ManagerConfig {
     pub max_sensors: usize,
     /// Per-group ingress-queue capacity in ticks (pending samples).
     pub queue_capacity: usize,
-    /// Directory session snapshots are written to; `None` disables
-    /// snapshots (and restart recovery).
-    pub snapshot_dir: Option<PathBuf>,
     /// Forensics-journal capacity applied to every session (rounds
     /// retained for `/explain`; 0 disables journaling). Applied on create
-    /// *and* after snapshot restore, so the server configuration is
-    /// authoritative regardless of what a snapshot recorded.
+    /// *and* after a session file is loaded, so the server configuration
+    /// is authoritative regardless of what a file recorded.
     pub explain_rounds: usize,
     /// Pump groups draining the shards (0 = auto:
     /// `min(shards, cad_runtime::effective_threads())`). Clamped to
@@ -116,12 +125,13 @@ pub struct ManagerConfig {
     /// Hibernate a session after this many pump sweeps without a push
     /// (0 disables hibernation). Requires `spill_dir`.
     pub hibernate_after_rounds: usize,
-    /// Directory hibernated sessions spill their state to; `None`
-    /// disables hibernation.
+    /// The state directory: one `session-<id>.cadh` file per persisted
+    /// session, written by hibernation, `Snapshot` and shutdown and read
+    /// back at restart. `None` disables all three.
     pub spill_dir: Option<PathBuf>,
     /// Directory for the per-shard write-ahead log of accepted pushes;
     /// `None` disables the WAL (and with it crash recovery between
-    /// snapshots).
+    /// session-file writes).
     pub wal_dir: Option<PathBuf>,
     /// Fsync policy for WAL appends (see [`cad_wal::FsyncPolicy`]).
     pub wal_fsync: FsyncPolicy,
@@ -142,7 +152,6 @@ impl Default for ManagerConfig {
             max_sessions: 4096,
             max_sensors: 1024,
             queue_capacity: 8192,
-            snapshot_dir: None,
             explain_rounds: 256,
             pump_groups: 0,
             hibernate_after_rounds: 0,
@@ -348,14 +357,14 @@ pub struct SessionRow {
     pub rounds: u64,
     /// Abnormal rounds since this process started serving the session.
     pub anomalies: u64,
-    /// Whether the session was restored from a snapshot at startup.
+    /// Whether the session was recovered at startup (file or WAL).
     pub resumed: bool,
-    /// Resident in memory or spilled to disk.
+    /// Resident in memory or hibernated to its session file.
     pub state: SessionState,
     /// `rounds` as of the last accepted push (how stale the stream is).
     pub last_push_round: u64,
     /// Sensors still inside the reshape warm-up quarantine (0 for
-    /// hibernated rows: their frozen quarantine state lives in the spill
+    /// hibernated rows: their frozen quarantine state lives in the file
     /// and is reloaded on resurrection).
     pub quarantined_sensors: u32,
     /// Rounds until every quarantined sensor is eligible again (0 when
@@ -465,7 +474,7 @@ pub struct Counters {
     pub backpressure_events: AtomicU64,
     /// High-water mark of total pending ticks across all group queues.
     pub peak_queue_depth: AtomicU64,
-    /// Sessions spilled to the hibernation tier.
+    /// Sessions hibernated to their session files.
     pub hibernations: AtomicU64,
     /// Sessions resurrected from the hibernation tier.
     pub resurrections: AtomicU64,
@@ -555,8 +564,9 @@ struct Session {
     stream: StreamingCad,
     rounds: u64,
     anomalies: u64,
-    /// Restored from a snapshot at startup (surfaces in the `/sessions`
-    /// table so an operator can tell recovered state from fresh state).
+    /// Recovered at startup from a session file or the WAL (surfaces in
+    /// the `/sessions` table so an operator can tell recovered state from
+    /// fresh state).
     resumed: bool,
     /// Owning shard's sweep counter at the last accepted push (or
     /// create/resurrect); drives the hibernation idle test.
@@ -596,7 +606,8 @@ impl Session {
 
 /// What a shard remembers about a hibernated session without loading it:
 /// enough to answer the `/sessions` table and to restore the non-stream
-/// counters bit-identically on resurrection.
+/// counters on resurrection. The counters are process-relative: a restart
+/// registers them as zero, with `resumed` set.
 #[derive(Debug, Clone, Copy)]
 struct HibernatedMeta {
     n_sensors: u32,
@@ -657,9 +668,10 @@ struct Shard {
     hibernate_check_at: u64,
     /// This shard's write-ahead log; `None` when the WAL is disabled.
     wal: Option<ShardWal>,
-    /// Per-session durable watermark: `samples_seen` covered by the last
-    /// successfully written snapshot or spill. Presence implies a durable
-    /// file exists; drives WAL checkpoint skipping and compaction.
+    /// Per-session durable watermark (WAL only): `samples_seen` covered by
+    /// the session's file on disk, seeded from file headers at restart and
+    /// advanced by every write. Presence implies the file exists; drives
+    /// WAL compaction.
     durable: BTreeMap<u64, u64>,
     /// Set when an append rolled a segment: a compaction pass may now be
     /// able to reclaim the sealed file.
@@ -762,7 +774,7 @@ pub struct SessionPump {
     shards: Vec<Shard>,
 }
 
-/// Errors surfaced by [`SessionManager::enqueue`].
+/// Errors surfaced by [`SessionManager::request_session_table`].
 #[derive(Debug, PartialEq, Eq)]
 pub enum EnqueueError {
     /// The queue is closed: the server is shutting down.
@@ -931,41 +943,25 @@ pub fn config_from_wal_spec(spec: &WalSpec) -> Result<CadConfig, String> {
     validate_spec(&session_spec_from_wal(spec), usize::MAX).map_err(|(_, msg)| msg)
 }
 
-fn snapshot_path(dir: &Path, session_id: u64) -> PathBuf {
-    dir.join(format!("session-{session_id}.cads"))
-}
-
-/// Write one session's snapshot atomically (tmp file + rename) and return
-/// its size in bytes.
-fn write_snapshot(dir: &Path, session_id: u64, session: &Session) -> std::io::Result<u64> {
-    let mut buf = Vec::new();
-    save_stream(&session.stream, &mut buf)?;
-    let tmp = dir.join(format!("session-{session_id}.cads.tmp"));
-    std::fs::write(&tmp, &buf)?;
-    std::fs::rename(&tmp, snapshot_path(dir, session_id))?;
-    cad_obs::tracer().emit(TraceEvent::SnapshotSaved { session_id });
-    Ok(buf.len() as u64)
-}
-
 // ---------------------------------------------------------------------
-// Hibernation spill files
+// Session files
 //
 // `session-<id>.cadh`: a single ASCII header line
 //
 //   cad-spill v1 <payload_len> <fnv1a64 hex16> <n_sensors> \
 //     <samples_seen> <rounds> <anomalies> <resumed 0|1> <last_push_round>
 //
-// followed by the raw `cad-stream v3` payload. The header carries the
-// shard counters the stream format does not (rounds/anomalies are
-// process-relative) plus length + checksum so a truncated or bit-flipped
-// spill is detected before `load_stream` ever parses it. Metadata is in
-// the header so a restart can register hibernated sessions without
-// reading the payload.
+// followed by the raw `cad-stream v3` payload. Length + checksum catch a
+// truncated or bit-flipped payload before `load_stream` ever parses it;
+// `n_sensors` and `samples_seen` let a restart register the session (and
+// seed its WAL watermark) without reading the payload. The four counters
+// are the writing process's view, kept for operators; they are never
+// read back, because a restart starts process-relative counters at zero.
 // ---------------------------------------------------------------------
 
-const SPILL_MAGIC: &str = "cad-spill v1";
+const FILE_MAGIC: &str = "cad-spill v1";
 
-fn spill_path(dir: &Path, session_id: u64) -> PathBuf {
+fn session_path(dir: &Path, session_id: u64) -> PathBuf {
     dir.join(format!("session-{session_id}.cadh"))
 }
 
@@ -978,9 +974,9 @@ fn fnv1a64(bytes: &[u8]) -> u64 {
     h
 }
 
-fn spill_header(payload: &[u8], meta: &HibernatedMeta) -> String {
+fn file_header(payload: &[u8], meta: &HibernatedMeta) -> String {
     format!(
-        "{SPILL_MAGIC} {} {:016x} {} {} {} {} {} {}\n",
+        "{FILE_MAGIC} {} {:016x} {} {} {} {} {} {}\n",
         payload.len(),
         fnv1a64(payload),
         meta.n_sensors,
@@ -992,87 +988,79 @@ fn spill_header(payload: &[u8], meta: &HibernatedMeta) -> String {
     )
 }
 
-/// Parse a spill header line into `(payload_len, checksum, meta)`.
-fn parse_spill_header(line: &str) -> Option<(usize, u64, HibernatedMeta)> {
-    let rest = line.strip_prefix(SPILL_MAGIC)?;
-    let fields: Vec<&str> = rest.split_whitespace().collect();
-    if fields.len() != 8 {
+/// Parse a header line into `(payload_len, checksum, n_sensors,
+/// samples_seen)`, checking that the unread counters are well-formed too.
+fn parse_file_header(line: &str) -> Option<(usize, u64, u32, u64)> {
+    let fields: Vec<&str> = line.strip_prefix(FILE_MAGIC)?.split_whitespace().collect();
+    if fields.len() != 8
+        || !matches!(fields[6], "0" | "1")
+        || [fields[4], fields[5], fields[7]]
+            .iter()
+            .any(|f| f.parse::<u64>().is_err())
+    {
         return None;
     }
-    let payload_len = fields[0].parse::<usize>().ok()?;
-    let checksum = u64::from_str_radix(fields[1], 16).ok()?;
-    let resumed = match fields[6] {
-        "0" => false,
-        "1" => true,
-        _ => return None,
-    };
     Some((
-        payload_len,
-        checksum,
-        HibernatedMeta {
-            n_sensors: fields[2].parse().ok()?,
-            samples_seen: fields[3].parse().ok()?,
-            rounds: fields[4].parse().ok()?,
-            anomalies: fields[5].parse().ok()?,
-            resumed,
-            last_push_round: fields[7].parse().ok()?,
-        },
+        fields[0].parse().ok()?,
+        u64::from_str_radix(fields[1], 16).ok()?,
+        fields[2].parse().ok()?,
+        fields[3].parse().ok()?,
     ))
 }
 
-fn bad_spill(msg: impl Into<String>) -> std::io::Error {
+fn bad_file(msg: impl Into<String>) -> std::io::Error {
     std::io::Error::new(std::io::ErrorKind::InvalidData, msg.into())
 }
 
-/// Write one session's spill atomically; returns bytes written.
-fn write_spill(dir: &Path, session_id: u64, session: &Session) -> std::io::Result<u64> {
-    let mut payload = Vec::new();
-    save_stream(&session.stream, &mut payload)?;
-    let mut buf = spill_header(&payload, &HibernatedMeta::of(session)).into_bytes();
-    buf.extend_from_slice(&payload);
-    let tmp = dir.join(format!("session-{session_id}.cadh.tmp"));
-    std::fs::write(&tmp, &buf)?;
-    std::fs::rename(&tmp, spill_path(dir, session_id))?;
-    Ok(buf.len() as u64)
-}
-
-/// Read only a spill file's header line (restart registration: the
-/// payload stays on disk until the session's next command).
-fn read_spill_meta(path: &Path) -> std::io::Result<HibernatedMeta> {
-    let file = std::fs::File::open(path)?;
+/// Read only a session file's header line, as `(n_sensors,
+/// samples_seen)`: restart registers the session from it and leaves the
+/// payload on disk. Every error names the file.
+fn read_file_header(path: &Path) -> std::io::Result<(u32, u64)> {
     let mut line = String::new();
-    std::io::BufReader::new(file).read_line(&mut line)?;
-    parse_spill_header(line.trim_end_matches('\n'))
-        .map(|(_, _, meta)| meta)
-        .ok_or_else(|| bad_spill(format!("{}: malformed spill header", path.display())))
+    if let Err(e) =
+        std::fs::File::open(path).and_then(|f| std::io::BufReader::new(f).read_line(&mut line))
+    {
+        return Err(std::io::Error::new(
+            e.kind(),
+            format!("{}: {e}", path.display()),
+        ));
+    }
+    parse_file_header(line.trim_end_matches('\n'))
+        .map(|(_, _, n_sensors, samples_seen)| (n_sensors, samples_seen))
+        .ok_or_else(|| {
+            bad_file(format!(
+                "{}: malformed session file header (expected `{FILE_MAGIC} …`)",
+                path.display()
+            ))
+        })
 }
 
-/// Read, verify and decode a full spill file.
-fn read_spill(path: &Path, explain_rounds: usize) -> std::io::Result<StreamingCad> {
+/// Read, verify and decode a full session file.
+fn read_file_payload(path: &Path, explain_rounds: usize) -> std::io::Result<StreamingCad> {
     let bytes = std::fs::read(path)?;
     let nl = bytes
         .iter()
         .position(|&b| b == b'\n')
-        .ok_or_else(|| bad_spill("spill file has no header line"))?;
-    let header =
-        std::str::from_utf8(&bytes[..nl]).map_err(|_| bad_spill("spill header is not UTF-8"))?;
-    let (payload_len, checksum, _) =
-        parse_spill_header(header).ok_or_else(|| bad_spill("malformed spill header"))?;
+        .ok_or_else(|| bad_file("session file has no header line"))?;
+    let header = std::str::from_utf8(&bytes[..nl])
+        .map_err(|_| bad_file("session file header is not UTF-8"))?;
+    let (payload_len, checksum, _, _) =
+        parse_file_header(header).ok_or_else(|| bad_file("malformed session file header"))?;
     let payload = &bytes[nl + 1..];
     if payload.len() != payload_len {
-        return Err(bad_spill(format!(
-            "spill payload is {} bytes, header says {payload_len}",
+        return Err(bad_file(format!(
+            "session payload is {} bytes, header says {payload_len}",
             payload.len()
         )));
     }
     let got = fnv1a64(payload);
     if got != checksum {
-        return Err(bad_spill(format!(
-            "spill checksum mismatch: file says {checksum:016x}, payload hashes to {got:016x}"
+        return Err(bad_file(format!(
+            "session file checksum mismatch: file says {checksum:016x}, payload hashes to {got:016x}"
         )));
     }
     let mut stream = load_stream(payload)
-        .map_err(|e| bad_spill(format!("spill payload does not decode: {e}")))?;
+        .map_err(|e| bad_file(format!("session payload does not decode: {e}")))?;
     stream.set_explain_capacity(explain_rounds);
     Ok(stream)
 }
@@ -1181,22 +1169,41 @@ impl Shard {
         }
     }
 
-    /// Record that a durable snapshot/spill covering `samples_seen` ticks
-    /// now exists for the session: advance the compaction watermark and
-    /// log a `Checkpoint` so the next recovery can skip the covered
-    /// prefix.
-    fn wal_checkpoint(&mut self, shared: &Shared, session_id: u64, samples_seen: u64) {
-        if self.wal.is_none() {
-            return;
+    /// Write one resident session's file (tmp file + rename) and advance
+    /// its durable watermark; returns the bytes written. The only writer
+    /// of session files: hibernation, `Snapshot` and shutdown all land
+    /// here. With the WAL on and a policy other than `never`, the file is
+    /// fsynced before the rename and the directory after it, so compaction
+    /// never trusts a watermark whose file could vanish with the page
+    /// cache.
+    fn persist(&mut self, cfg: &ManagerConfig, session_id: u64) -> std::io::Result<u64> {
+        let dir = cfg
+            .spill_dir
+            .as_deref()
+            .expect("callers check for a spill_dir");
+        let session = &self.sessions[&session_id];
+        let mut payload = Vec::new();
+        save_stream(&session.stream, &mut payload)?;
+        let mut buf = file_header(&payload, &HibernatedMeta::of(session)).into_bytes();
+        buf.extend_from_slice(&payload);
+        let samples_seen = session.stream.samples_seen() as u64;
+        let sync = self.wal.is_some() && cfg.wal_fsync != FsyncPolicy::Never;
+        let tmp = dir.join(format!("session-{session_id}.cadh.tmp"));
+        let mut file = std::fs::File::create(&tmp)?;
+        file.write_all(&buf)?;
+        if sync {
+            file.sync_all()?;
         }
-        self.durable.insert(session_id, samples_seen);
-        self.wal_append(
-            shared,
-            &WalRecord::Checkpoint {
-                session_id,
-                samples_seen,
-            },
-        );
+        drop(file);
+        std::fs::rename(&tmp, session_path(dir, session_id))?;
+        if sync {
+            std::fs::File::open(dir)?.sync_all()?;
+        }
+        if self.wal.is_some() {
+            self.durable.insert(session_id, samples_seen);
+        }
+        cad_obs::tracer().emit(TraceEvent::SnapshotSaved { session_id });
+        Ok(buf.len() as u64)
     }
 
     /// Log a session's removal and forget its durable watermark.
@@ -1349,78 +1356,53 @@ impl Shard {
         out
     }
 
-    /// Load a hibernated session back into memory. On failure the spill
-    /// is discarded and the session is gone — the caller gets the
-    /// [`codes::RESURRECT_FAILED`] reply to forward.
-    fn resurrect(&mut self, session_id: u64, shared: &Shared) -> Result<(), Reply> {
-        let started = Instant::now();
+    /// Load a hibernated session's file and make the session resident:
+    /// the only reader of session payloads, shared by live commands and
+    /// WAL replay. The file stays on disk. On failure the file is
+    /// unusable — keeping it (or the stub) would fail every later command
+    /// the same way — so it is deleted, the session forgotten, and the
+    /// error returned for the caller to report.
+    fn resurrect(&mut self, session_id: u64, cfg: &ManagerConfig) -> std::io::Result<()> {
         let meta = self
             .hibernated
             .remove(&session_id)
             .expect("resurrect caller checked the hibernated map");
-        let dir = shared
-            .cfg
+        metrics::hibernated_sessions_gauge().sub(1);
+        let dir = cfg
             .spill_dir
             .as_ref()
             .expect("hibernated sessions imply a spill_dir");
-        let path = spill_path(dir, session_id);
-        match read_spill(&path, shared.cfg.explain_rounds) {
-            Ok(stream) => {
-                if self.wal.is_none() {
-                    let _ = std::fs::remove_file(&path);
-                } else {
-                    // With a WAL the spill stays on disk: it is the durable
-                    // base the next crash recovery splices the log suffix
-                    // onto. Hibernating again overwrites it; Close deletes
-                    // it.
-                    self.durable.entry(session_id).or_insert(meta.samples_seen);
-                }
-                self.sessions.insert(
-                    session_id,
-                    Session {
-                        stream,
-                        rounds: meta.rounds,
-                        anomalies: meta.anomalies,
-                        resumed: meta.resumed,
-                        last_push_sweep: self.sweep,
-                        last_push_round: meta.last_push_round,
-                    },
-                );
-                self.note_activity(shared);
-                self.sessions_gauge.add(1);
-                metrics::resident_sessions_gauge().add(1);
-                metrics::hibernated_sessions_gauge().sub(1);
-                metrics::resurrections_total().inc();
-                metrics::resurrect_latency().record_duration(started.elapsed());
-                shared
-                    .counters
-                    .resurrections
-                    .fetch_add(1, Ordering::Relaxed);
-                cad_obs::tracer().emit(TraceEvent::SessionResurrected { session_id });
-                Ok(())
-            }
+        let path = session_path(dir, session_id);
+        let stream = match read_file_payload(&path, cfg.explain_rounds) {
+            Ok(stream) => stream,
             Err(e) => {
-                // The spill is unusable; keeping it (or the stub) would
-                // make every later command fail the same way. Drop the
-                // session so the client can re-create it.
                 let _ = std::fs::remove_file(&path);
-                shared.counters.sessions.fetch_sub(1, Ordering::Relaxed);
-                metrics::hibernated_sessions_gauge().sub(1);
-                self.wal_close(shared, session_id);
-                cad_obs::tracer().emit(TraceEvent::SessionDropped { session_id });
-                Err(Reply::Failed {
-                    code: codes::RESURRECT_FAILED,
-                    message: format!("session {session_id}: resurrect failed: {e}"),
-                })
+                self.durable.remove(&session_id);
+                return Err(e);
             }
-        }
+        };
+        self.sessions.insert(
+            session_id,
+            Session {
+                stream,
+                rounds: meta.rounds,
+                anomalies: meta.anomalies,
+                resumed: meta.resumed,
+                last_push_sweep: self.sweep,
+                last_push_round: meta.last_push_round,
+            },
+        );
+        self.sessions_gauge.add(1);
+        metrics::resident_sessions_gauge().add(1);
+        Ok(())
     }
 
-    /// Spill every session that has not seen a push for `after` sweeps.
+    /// Hibernate every session that has not seen a push for `after`
+    /// sweeps.
     fn hibernate_idle(&mut self, shared: &Shared, after: u64) {
-        let Some(dir) = &shared.cfg.spill_dir else {
+        if shared.cfg.spill_dir.is_none() {
             return;
-        };
+        }
         // No session's idle counter can have crossed the threshold before
         // `hibernate_check_at` (activity pulls it earlier, every scan
         // recomputes it), so idle sweeps skip the O(resident) scan.
@@ -1435,11 +1417,9 @@ impl Shard {
             .map(|(&id, _)| id)
             .collect();
         for session_id in idle {
-            let session = &self.sessions[&session_id];
-            let samples_seen = session.stream.samples_seen() as u64;
-            // A failed spill (disk full, …) keeps the session resident;
+            // A failed write (disk full, …) keeps the session resident;
             // the next sweep retries.
-            if write_spill(dir, session_id, session).is_err() {
+            if self.persist(&shared.cfg, session_id).is_err() {
                 continue;
             }
             let session = self
@@ -1448,13 +1428,6 @@ impl Shard {
                 .expect("session present above");
             self.hibernated
                 .insert(session_id, HibernatedMeta::of(&session));
-            // The spill is this session's durable base from here on.
-            self.wal_checkpoint(shared, session_id, samples_seen);
-            // The spill now supersedes any earlier snapshot; a stale
-            // `.cads` left behind would win over the `.cadh` at restart.
-            if let Some(snap) = &shared.cfg.snapshot_dir {
-                let _ = std::fs::remove_file(snapshot_path(snap, session_id));
-            }
             self.sessions_gauge.sub(1);
             metrics::resident_sessions_gauge().sub(1);
             metrics::hibernated_sessions_gauge().add(1);
@@ -1463,7 +1436,7 @@ impl Shard {
             cad_obs::tracer().emit(TraceEvent::SessionHibernated { session_id });
         }
         // Earliest sweep at which a remaining resident could next become
-        // idle. Sessions whose spill just failed keep a deadline in the
+        // idle. Sessions whose write just failed keep a deadline in the
         // past, so the retry happens on the very next sweep.
         self.hibernate_check_at = self
             .sessions
@@ -1476,12 +1449,12 @@ impl Shard {
     /// Execute one command against this shard's sessions.
     fn exec(&mut self, session_id: u64, work: Work, shared: &Shared, lead: StageLead) -> Reply {
         // Hibernated sessions resurrect on any command except Close,
-        // which drops the spill without ever loading it.
+        // which deletes the file without ever loading it.
         if !self.sessions.contains_key(&session_id) && self.hibernated.contains_key(&session_id) {
             if matches!(work, Work::Close) {
                 self.hibernated.remove(&session_id);
                 if let Some(dir) = &shared.cfg.spill_dir {
-                    let _ = std::fs::remove_file(spill_path(dir, session_id));
+                    let _ = std::fs::remove_file(session_path(dir, session_id));
                 }
                 shared.counters.sessions.fetch_sub(1, Ordering::Relaxed);
                 metrics::hibernated_sessions_gauge().sub(1);
@@ -1489,9 +1462,24 @@ impl Shard {
                 cad_obs::tracer().emit(TraceEvent::SessionDropped { session_id });
                 return Reply::Closed;
             }
-            if let Err(reply) = self.resurrect(session_id, shared) {
-                return reply;
+            let started = Instant::now();
+            if let Err(e) = self.resurrect(session_id, &shared.cfg) {
+                shared.counters.sessions.fetch_sub(1, Ordering::Relaxed);
+                self.wal_close(shared, session_id);
+                cad_obs::tracer().emit(TraceEvent::SessionDropped { session_id });
+                return Reply::Failed {
+                    code: codes::RESURRECT_FAILED,
+                    message: format!("session {session_id}: resurrect failed: {e}"),
+                };
             }
+            self.note_activity(shared);
+            metrics::resurrections_total().inc();
+            metrics::resurrect_latency().record_duration(started.elapsed());
+            shared
+                .counters
+                .resurrections
+                .fetch_add(1, Ordering::Relaxed);
+            cad_obs::tracer().emit(TraceEvent::SessionResurrected { session_id });
         }
         let counters = &shared.counters;
         let sweep = self.sweep;
@@ -1757,32 +1745,24 @@ impl Shard {
                 }
             }
             Work::Snapshot => {
-                let written = match (&shared.cfg.snapshot_dir, self.sessions.get(&session_id)) {
-                    (None, _) => Err(Reply::Failed {
+                if shared.cfg.spill_dir.is_none() {
+                    Reply::Failed {
                         code: codes::NO_SNAPSHOTS,
-                        message: "server has no snapshot directory".into(),
-                    }),
-                    (_, None) => Err(Reply::Failed {
+                        message: "server has no state directory (set CAD_SPILL_DIR)".into(),
+                    }
+                } else if !self.sessions.contains_key(&session_id) {
+                    Reply::Failed {
                         code: codes::UNKNOWN_SESSION,
                         message: format!("no session {session_id}"),
-                    }),
-                    (Some(dir), Some(session)) => match write_snapshot(dir, session_id, session) {
-                        Ok(bytes) => Ok((bytes, session.stream.samples_seen() as u64)),
-                        Err(e) => Err(Reply::Failed {
+                    }
+                } else {
+                    match self.persist(&shared.cfg, session_id) {
+                        Ok(bytes) => Reply::Snapshotted(bytes),
+                        Err(e) => Reply::Failed {
                             code: codes::BAD_REQUEST,
                             message: format!("snapshot failed: {e}"),
-                        }),
-                    },
-                };
-                match written {
-                    Ok((bytes, samples_seen)) => {
-                        // The snapshot now covers the prefix up to
-                        // `samples_seen`; the checkpoint lets compaction
-                        // reclaim segments whose pushes it subsumes.
-                        self.wal_checkpoint(shared, session_id, samples_seen);
-                        Reply::Snapshotted(bytes)
+                        },
                     }
-                    Err(reply) => reply,
                 }
             }
             Work::Close => {
@@ -1797,15 +1777,10 @@ impl Shard {
                         metrics::resident_sessions_gauge().sub(1);
                         self.wal_close(shared, session_id);
                         cad_obs::tracer().emit(TraceEvent::SessionDropped { session_id });
-                        if let Some(dir) = &shared.cfg.snapshot_dir {
+                        if let Some(dir) = &shared.cfg.spill_dir {
                             // Best-effort: a closed session must not be
                             // resurrected by the next restart.
-                            let _ = std::fs::remove_file(snapshot_path(dir, session_id));
-                        }
-                        if let Some(dir) = &shared.cfg.spill_dir {
-                            // In WAL mode a resurrect leaves the spill on
-                            // disk as its recovery base; closing ends that.
-                            let _ = std::fs::remove_file(spill_path(dir, session_id));
+                            let _ = std::fs::remove_file(session_path(dir, session_id));
                         }
                         Reply::Closed
                     }
@@ -1847,8 +1822,31 @@ struct WalRecoverySummary {
     gaps: u64,
 }
 
-/// Splice one shard's recovered WAL records on top of its restored
-/// snapshot/spill state. Replay is total: anything that cannot be applied
+/// Load a hibernated session during WAL replay because the log holds
+/// ticks past its file. Returns `false` when the file is unusable: the
+/// session is dropped and the loss counted and logged.
+fn resurrect_for_replay(
+    shard: &mut Shard,
+    session_id: u64,
+    cfg: &ManagerConfig,
+    summary: &mut WalRecoverySummary,
+) -> bool {
+    match shard.resurrect(session_id, cfg) {
+        Ok(()) => true,
+        Err(e) => {
+            summary.dropped_records += 1;
+            eprintln!(
+                "cad-serve: shard {}: WAL replay: session {session_id}: \
+                 session file unusable, session dropped: {e}",
+                shard.index
+            );
+            false
+        }
+    }
+}
+
+/// Splice one shard's recovered WAL records on top of the sessions
+/// registered from their files. Replay is total: anything that cannot be applied
 /// (unknown session, undecodable spec, tick gap) is counted and logged,
 /// never a panic — a damaged log costs data, not the process.
 fn replay_wal_records(
@@ -1921,48 +1919,14 @@ fn replay_wal_records(
                         (samples.len() / n_sensors as usize) as u64
                     };
                     if base_tick + rows <= meta.samples_seen {
-                        // The spill already covers every tick in the batch;
+                        // The file already covers every tick in the batch;
                         // leave the session hibernated.
                         continue;
                     }
-                    // The batch extends past the spill: resurrect now so the
+                    // The batch extends past the file: load it now so the
                     // suffix can be spliced in.
-                    let dir = cfg
-                        .spill_dir
-                        .as_ref()
-                        .expect("hibernated sessions imply a spill_dir");
-                    let path = spill_path(dir, session_id);
-                    match read_spill(&path, cfg.explain_rounds) {
-                        Ok(stream) => {
-                            let meta = shard.hibernated.remove(&session_id).expect("checked above");
-                            shard.sessions.insert(
-                                session_id,
-                                Session {
-                                    stream,
-                                    rounds: meta.rounds,
-                                    anomalies: meta.anomalies,
-                                    resumed: meta.resumed,
-                                    last_push_sweep: 0,
-                                    last_push_round: meta.last_push_round,
-                                },
-                            );
-                            shard.sessions_gauge.add(1);
-                            metrics::resident_sessions_gauge().add(1);
-                            metrics::hibernated_sessions_gauge().sub(1);
-                        }
-                        Err(e) => {
-                            shard.hibernated.remove(&session_id);
-                            shard.durable.remove(&session_id);
-                            let _ = std::fs::remove_file(&path);
-                            metrics::hibernated_sessions_gauge().sub(1);
-                            summary.dropped_records += 1;
-                            eprintln!(
-                                "cad-serve: shard {}: WAL replay: session \
-                                 {session_id}: spill unusable, session dropped: {e}",
-                                shard.index
-                            );
-                            continue;
-                        }
+                    if !resurrect_for_replay(shard, session_id, cfg, summary) {
+                        continue;
                     }
                 }
                 let session = shard
@@ -2009,11 +1973,8 @@ fn replay_wal_records(
                 }
                 if was_resident || was_hibernated {
                     shard.durable.remove(&session_id);
-                    if let Some(dir) = &cfg.snapshot_dir {
-                        let _ = std::fs::remove_file(snapshot_path(dir, session_id));
-                    }
                     if let Some(dir) = &cfg.spill_dir {
-                        let _ = std::fs::remove_file(spill_path(dir, session_id));
+                        let _ = std::fs::remove_file(session_path(dir, session_id));
                     }
                 }
             }
@@ -2025,49 +1986,14 @@ fn replay_wal_records(
                 if !shard.sessions.contains_key(&session_id) {
                     if let Some(meta) = shard.hibernated.get(&session_id) {
                         if at_tick <= meta.samples_seen {
-                            // The spill was written after the reshape; its
+                            // The file was written after the reshape; its
                             // ring already has the new width.
                             continue;
                         }
-                        // The reshape postdates the spill: resurrect now so
+                        // The reshape postdates the file: load it now so
                         // it (and the wider batches behind it) can apply.
-                        let dir = cfg
-                            .spill_dir
-                            .as_ref()
-                            .expect("hibernated sessions imply a spill_dir");
-                        let path = spill_path(dir, session_id);
-                        match read_spill(&path, cfg.explain_rounds) {
-                            Ok(stream) => {
-                                let meta =
-                                    shard.hibernated.remove(&session_id).expect("checked above");
-                                shard.sessions.insert(
-                                    session_id,
-                                    Session {
-                                        stream,
-                                        rounds: meta.rounds,
-                                        anomalies: meta.anomalies,
-                                        resumed: meta.resumed,
-                                        last_push_sweep: 0,
-                                        last_push_round: meta.last_push_round,
-                                    },
-                                );
-                                shard.sessions_gauge.add(1);
-                                metrics::resident_sessions_gauge().add(1);
-                                metrics::hibernated_sessions_gauge().sub(1);
-                            }
-                            Err(e) => {
-                                shard.hibernated.remove(&session_id);
-                                shard.durable.remove(&session_id);
-                                let _ = std::fs::remove_file(&path);
-                                metrics::hibernated_sessions_gauge().sub(1);
-                                summary.dropped_records += 1;
-                                eprintln!(
-                                    "cad-serve: shard {}: WAL replay: session \
-                                     {session_id}: spill unusable, session dropped: {e}",
-                                    shard.index
-                                );
-                                continue;
-                            }
+                        if !resurrect_for_replay(shard, session_id, cfg, summary) {
+                            continue;
                         }
                     }
                 }
@@ -2100,82 +2026,44 @@ fn replay_wal_records(
                 session.stream.reshape_sensors(m);
             }
             WalRecord::Checkpoint { .. } => {
-                // Durable watermarks are re-seeded from the files actually
-                // on disk; a checkpoint from a past process proves nothing
-                // about the present directory contents.
+                // Written by older builds only. Durable watermarks come
+                // from the session files' headers, never from the log.
             }
         }
     }
 }
 
 impl SessionManager {
-    /// Build a manager plus its pump. When `cfg.snapshot_dir` holds
-    /// snapshots from an earlier run, those sessions are restored before
-    /// any command is accepted; when `cfg.spill_dir` holds spills,
-    /// those sessions are registered as hibernated (header only — the
-    /// payload stays on disk until their next command).
+    /// Build a manager plus its pump. Every session file in
+    /// `cfg.spill_dir` is registered as hibernated from its header alone
+    /// (the payload stays on disk until the session's next command), then
+    /// the WAL, if any, is replayed on top. A header that does not parse
+    /// fails with `InvalidData` naming the file.
     pub fn new(cfg: ManagerConfig) -> std::io::Result<(SessionManager, SessionPump)> {
         let shards_n = cfg.shards.max(1);
         let mut shards: Vec<Shard> = (0..shards_n).map(Shard::new).collect();
         let mut restored = 0u64;
-        if let Some(dir) = &cfg.snapshot_dir {
+        if let Some(dir) = &cfg.spill_dir {
             std::fs::create_dir_all(dir)?;
-            for (id, path) in scan_session_files(dir, ".cads")? {
-                let file = std::fs::File::open(&path)?;
-                let mut stream = load_stream(std::io::BufReader::new(file)).map_err(|e| {
-                    std::io::Error::new(
-                        std::io::ErrorKind::InvalidData,
-                        format!("restoring {}: {e}", path.display()),
-                    )
-                })?;
-                // The server configuration owns the journal bound; a v1
-                // snapshot (no journal) restores with journaling re-enabled.
-                stream.set_explain_capacity(cfg.explain_rounds);
+            for (id, path) in scan_session_files(dir)? {
+                let (n_sensors, samples_seen) = read_file_header(&path)?;
                 let shard = &mut shards[(id % shards_n as u64) as usize];
                 if cfg.wal_dir.is_some() {
-                    // The snapshot on disk covers this prefix: WAL replay
-                    // splices from here, compaction may reclaim below it.
-                    shard.durable.insert(id, stream.samples_seen() as u64);
+                    // The file covers this prefix: WAL replay splices from
+                    // here, compaction may reclaim below it.
+                    shard.durable.insert(id, samples_seen);
                 }
-                shard.sessions.insert(
+                shard.hibernated.insert(
                     id,
-                    Session {
-                        stream,
+                    HibernatedMeta {
+                        n_sensors,
+                        samples_seen,
                         rounds: 0,
                         anomalies: 0,
                         resumed: true,
-                        last_push_sweep: 0,
                         last_push_round: 0,
                     },
                 );
-                shard.sessions_gauge.add(1);
-                metrics::resident_sessions_gauge().add(1);
-                cad_obs::tracer().emit(TraceEvent::SnapshotLoaded { session_id: id });
-                restored += 1;
-            }
-        }
-        if let Some(dir) = &cfg.spill_dir {
-            std::fs::create_dir_all(dir)?;
-            for (id, path) in scan_session_files(dir, ".cadh")? {
-                let shard = &mut shards[(id % shards_n as u64) as usize];
-                if shard.sessions.contains_key(&id) {
-                    // A snapshot restored this id already. Snapshots are
-                    // written at shutdown (after any resurrection, which
-                    // deletes its spill), so a surviving spill next to a
-                    // snapshot is stale — drop it.
-                    let _ = std::fs::remove_file(&path);
-                    continue;
-                }
-                // A malformed header means we could never resurrect this
-                // spill; leave the file for the operator and do not
-                // register the session.
-                let Ok(meta) = read_spill_meta(&path) else {
-                    continue;
-                };
-                if cfg.wal_dir.is_some() {
-                    shard.durable.insert(id, meta.samples_seen);
-                }
-                shard.hibernated.insert(id, meta);
                 metrics::hibernated_sessions_gauge().add(1);
                 restored += 1;
             }
@@ -2338,63 +2226,12 @@ impl SessionManager {
         depth
     }
 
-    /// Submit a command, blocking while its group queue is over capacity.
-    /// The bound is in ticks; control commands (cost 0) are always
-    /// admitted. Returns the global queue depth (ticks) after admission.
-    pub fn enqueue(&self, cmd: Command) -> Result<usize, EnqueueError> {
-        let cost = cmd.cost();
-        let session_id = cmd.session_id();
-        let mut blocked_since: Option<Instant> = None;
-        let mut cmd = Some(cmd);
-        'route: loop {
-            if self.shared.is_closed() {
-                return Err(EnqueueError::ShuttingDown);
-            }
-            let queue = self.queue_for(session_id);
-            let mut q = queue.q.lock().expect("ingress queue poisoned");
-            loop {
-                if self.shared.is_closed() {
-                    return Err(EnqueueError::ShuttingDown);
-                }
-                if q.retired {
-                    // Rebalanced under us: re-route to the new generation.
-                    continue 'route;
-                }
-                // An oversized batch may enter an *empty* queue so a
-                // client whose batch exceeds the capacity still makes
-                // progress.
-                let fits = cost == 0
-                    || q.pending_ticks == 0
-                    || q.pending_ticks + cost <= self.shared.cfg.queue_capacity;
-                if fits {
-                    let depth = self.admit(
-                        &queue,
-                        &mut q,
-                        cmd.take().expect("command admitted once"),
-                        cost,
-                    );
-                    if let Some(since) = blocked_since {
-                        let waited = since.elapsed();
-                        metrics::backpressure_wait().record_duration(waited);
-                        cad_obs::tracer().emit(TraceEvent::BackpressureExited {
-                            waited_nanos: waited.as_nanos().min(u64::MAX as u128) as u64,
-                        });
-                    }
-                    return Ok(depth);
-                }
-                blocked_since.get_or_insert_with(Instant::now);
-                q = queue
-                    .not_full
-                    .wait_timeout(q, Duration::from_millis(50))
-                    .expect("ingress queue poisoned")
-                    .0;
-            }
-        }
-    }
-
-    /// Non-blocking admission for the poller path: either the command is
-    /// queued, or it comes back in the error so the caller can park the
-    /// *connection* (not a thread) and retry after the group drains.
+    /// Submit a command without blocking: either it is queued, or it
+    /// comes back in the error so the caller can park the *connection*
+    /// (not a thread) and retry after the group drains. The bound is in
+    /// ticks; control commands (cost 0) are always admitted, and a batch
+    /// larger than the whole capacity enters an *empty* queue alone.
+    /// Returns the global queue depth (ticks) after admission.
     pub fn try_enqueue(&self, cmd: Command) -> Result<usize, TryEnqueueError> {
         let cost = cmd.cost();
         let session_id = cmd.session_id();
@@ -2477,7 +2314,7 @@ impl SessionManager {
 
     /// Close every queue: wakes the group pumps for their final
     /// drain-and-persist pass and makes every later
-    /// [`SessionManager::enqueue`] fail.
+    /// [`SessionManager::try_enqueue`] fail.
     pub fn close(&self) {
         self.shared.closed.store(true, Ordering::Release);
         let queues = self.shared.queues.read().expect("queue set poisoned");
@@ -2491,9 +2328,9 @@ impl SessionManager {
     }
 }
 
-/// Enumerate `session-<id><suffix>` files in `dir`, sorted by path (so
-/// restore order — and with it shard routing — is deterministic).
-fn scan_session_files(dir: &Path, suffix: &str) -> std::io::Result<Vec<(u64, PathBuf)>> {
+/// Enumerate `session-<id>.cadh` files in `dir`, sorted by path (so
+/// registration order is deterministic).
+fn scan_session_files(dir: &Path) -> std::io::Result<Vec<(u64, PathBuf)>> {
     let mut entries: Vec<PathBuf> = std::fs::read_dir(dir)?
         .filter_map(|e| e.ok().map(|e| e.path()))
         .collect();
@@ -2505,7 +2342,7 @@ fn scan_session_files(dir: &Path, suffix: &str) -> std::io::Result<Vec<(u64, Pat
                 .file_name()
                 .and_then(|n| n.to_str())
                 .and_then(|name| name.strip_prefix("session-"))
-                .and_then(|rest| rest.strip_suffix(suffix))
+                .and_then(|rest| rest.strip_suffix(".cadh"))
                 .and_then(|rest| rest.parse::<u64>().ok())?;
             Some((id, path))
         })
@@ -2571,29 +2408,21 @@ impl SessionPump {
         self.persist_all()
     }
 
-    /// Persist every resident session to the snapshot directory (no-op
-    /// when snapshots are disabled; hibernated sessions already live on
-    /// disk in the spill tier), checkpoint the WAL behind the snapshots,
-    /// and flush every shard's log. Returns the number persisted.
+    /// Write every resident session's file (hibernated sessions already
+    /// have theirs) and flush every shard's log. Returns the number of
+    /// files written; 0 without a `spill_dir`.
     fn persist_all(&mut self) -> usize {
-        let dir = self.shared.cfg.snapshot_dir.clone();
         let shared = Arc::clone(&self.shared);
-        if dir.is_none() && shared.wal.is_none() {
+        if shared.cfg.spill_dir.is_none() && shared.wal.is_none() {
             return 0;
         }
         let _t = Timer::start("serve.persist");
         let persisted = cad_runtime::par_map_mut(&mut self.shards, |_, shard| {
             let mut n = 0usize;
-            if let Some(dir) = &dir {
-                let mut written: Vec<(u64, u64)> = Vec::new();
-                for (&id, session) in &shard.sessions {
-                    if write_snapshot(dir, id, session).is_ok() {
-                        n += 1;
-                        written.push((id, session.stream.samples_seen() as u64));
-                    }
-                }
-                for (id, samples_seen) in written {
-                    shard.wal_checkpoint(&shared, id, samples_seen);
+            if shared.cfg.spill_dir.is_some() {
+                let ids: Vec<u64> = shard.sessions.keys().copied().collect();
+                for id in ids {
+                    n += shard.persist(&shared.cfg, id).is_ok() as usize;
                 }
             }
             if let Some(wal) = shard.wal.as_mut() {
@@ -2649,7 +2478,7 @@ fn run_group(
                 q = guard;
                 if wait.timed_out() && hibernation {
                     // Idle tick: no work, but the hibernation clock must
-                    // advance or idle sessions never spill.
+                    // advance or idle sessions never hibernate.
                     break VecDeque::new();
                 }
             }

@@ -135,7 +135,7 @@ fn wal_only_restart_one(engine: WireEngine) {
     let session_ids = [3u64, 8, 11];
     let cfg = || ServeConfig {
         addr: "127.0.0.1:0".into(),
-        snapshot_dir: None, // the WAL is the only way back
+        spill_dir: None, // the WAL is the only way back
         wal_dir: Some(dir.clone()),
         ..ServeConfig::default()
     };
@@ -206,16 +206,22 @@ fn wal_only_restart_one(engine: WireEngine) {
 // 2. SIGKILL the real binary mid-stream; restart over the same WAL.
 // ---------------------------------------------------------------------------
 
-/// Spawn the `cad-serve` binary on an ephemeral port with the WAL on and
-/// parse the bound address out of its startup banner.
-fn spawn_cad_serve(wal_dir: &PathBuf, shards: usize) -> (Child, String) {
-    let mut child = Command::new(env!("CARGO_BIN_EXE_cad-serve"))
-        .env("CAD_SERVE_ADDR", "127.0.0.1:0")
+/// Spawn the `cad-serve` binary on an ephemeral port with the WAL on (and
+/// the state directory too, when given) and parse the bound address out
+/// of its startup banner.
+fn spawn_cad_serve(wal_dir: &PathBuf, state_dir: Option<&Path>, shards: usize) -> (Child, String) {
+    let mut cmd = Command::new(env!("CARGO_BIN_EXE_cad-serve"));
+    cmd.env("CAD_SERVE_ADDR", "127.0.0.1:0")
         .env("CAD_SERVE_SHARDS", shards.to_string())
         .env("CAD_WAL_DIR", wal_dir)
         .env("CAD_WAL_FSYNC", "every_batch")
         .env_remove("CAD_SERVE_SNAPSHOT_DIR")
-        .env_remove("CAD_OPS_ADDR")
+        .env_remove("CAD_SPILL_DIR")
+        .env_remove("CAD_OPS_ADDR");
+    if let Some(dir) = state_dir {
+        cmd.env("CAD_SPILL_DIR", dir);
+    }
+    let mut child = cmd
         .stderr(Stdio::piped())
         .stdout(Stdio::null())
         .spawn()
@@ -246,29 +252,71 @@ fn spawn_cad_serve(wal_dir: &PathBuf, shards: usize) -> (Child, String) {
     (child, addr)
 }
 
+/// The retired snapshot directory variable must stop the daemon before
+/// it binds (exit 2, naming `CAD_SPILL_DIR`), so a deployment that still
+/// sets it cannot silently run without persistence.
+#[test]
+fn retired_snapshot_dir_variable_is_refused() {
+    let mut child = Command::new(env!("CARGO_BIN_EXE_cad-serve"))
+        .env("CAD_SERVE_ADDR", "127.0.0.1:0")
+        .env("CAD_SERVE_SNAPSHOT_DIR", std::env::temp_dir())
+        .env_remove("CAD_OPS_ADDR")
+        .stderr(Stdio::piped())
+        .stdout(Stdio::null())
+        .spawn()
+        .expect("spawn cad-serve");
+    // A daemon that ignored the variable would serve forever; bound the
+    // wait so that regression fails instead of hanging the suite.
+    let deadline = Instant::now() + Duration::from_secs(10);
+    let status = loop {
+        if let Some(status) = child.try_wait().expect("poll cad-serve") {
+            break status;
+        }
+        if Instant::now() > deadline {
+            child.kill().expect("kill cad-serve");
+            child.wait().expect("reap");
+            panic!("cad-serve started despite CAD_SERVE_SNAPSHOT_DIR");
+        }
+        std::thread::sleep(Duration::from_millis(20));
+    };
+    assert_eq!(status.code(), Some(2));
+    let mut stderr = String::new();
+    std::io::Read::read_to_string(&mut child.stderr.take().expect("stderr"), &mut stderr)
+        .expect("read stderr");
+    assert!(stderr.contains("CAD_SPILL_DIR"), "{stderr}");
+}
+
 #[test]
 fn sigkill_crash_recovery_is_bit_identical_under_both_engines() {
     for engine in [
         WireEngine::Exact,
         WireEngine::Incremental { rebuild_every: 16 },
     ] {
-        sigkill_one(engine);
+        sigkill_one(engine, false);
+        // With a state directory and a mid-stream snapshot, recovery must
+        // splice the WAL suffix onto the header-registered session file.
+        sigkill_one(engine, true);
     }
 }
 
-fn sigkill_one(engine: WireEngine) {
-    let tag = match engine {
-        WireEngine::Exact => "kill-exact",
-        WireEngine::Incremental { .. } => "kill-incr",
+fn sigkill_one(engine: WireEngine, snapshot_mid_stream: bool) {
+    let tag = match (engine, snapshot_mid_stream) {
+        (WireEngine::Exact, false) => "kill-exact",
+        (WireEngine::Incremental { .. }, false) => "kill-incr",
+        (WireEngine::Exact, true) => "kill-snap-exact",
+        (WireEngine::Incremental { .. }, true) => "kill-snap-incr",
     };
     let dir = unique_dir(tag);
     std::fs::create_dir_all(&dir).expect("wal dir");
+    let state_dir = snapshot_mid_stream.then(|| dir.join("state"));
     let ticks = 400usize;
     let split = 213usize;
+    // Not round-aligned either: the file holds a partially filled ring.
+    let snapshot_at = 116usize;
     let session_ids = [5u64, 9];
 
     // Phase 1: real process, push the first half, SIGKILL with no drain.
-    let (mut child, addr) = spawn_cad_serve(&dir, 2);
+    let (mut child, addr) = spawn_cad_serve(&dir.join("wal"), state_dir.as_deref(), 2);
     let mut first_half: BTreeMap<u64, Vec<WireOutcome>> = BTreeMap::new();
     {
         let mut client = ServeClient::connect(&addr, "kill-1").expect("connect");
@@ -284,7 +332,12 @@ fn sigkill_one(engine: WireEngine) {
             let mut t = 0usize;
             let mut outs = Vec::new();
             while t < split {
-                let len = 29usize.min(split - t);
+                let end = if snapshot_mid_stream && t < snapshot_at {
+                    snapshot_at
+                } else {
+                    split
+                };
+                let len = 29usize.min(end - t);
                 outs.extend(
                     client
                         .push_samples(id, t as u64, N_SENSORS as u32, tick_batch(id, t, t + len))
@@ -292,8 +345,19 @@ fn sigkill_one(engine: WireEngine) {
                         .outcomes,
                 );
                 t += len;
+                if snapshot_mid_stream && t == snapshot_at {
+                    assert!(client.snapshot(id).expect("snapshot") > 0);
+                }
             }
             first_half.insert(id, outs);
+        }
+        if let Some(state) = &state_dir {
+            for &id in &session_ids {
+                assert!(
+                    state.join(format!("session-{id}.cadh")).exists(),
+                    "snapshot left no session file for {id}"
+                );
+            }
         }
         // Every push above was ACKed, and the WAL appends before the ack
         // with fsync every_batch — so all `split` ticks are durable even
@@ -303,7 +367,7 @@ fn sigkill_one(engine: WireEngine) {
     }
 
     // Phase 2: fresh process over the same WAL; re-attach and finish.
-    let (mut child, addr) = spawn_cad_serve(&dir, 2);
+    let (mut child, addr) = spawn_cad_serve(&dir.join("wal"), state_dir.as_deref(), 2);
     {
         let mut client = ServeClient::connect(&addr, "kill-2").expect("connect");
         for &id in &session_ids {
@@ -539,7 +603,7 @@ fn chaos_wal_restart_and_replay_are_bit_identical() {
     let split = 201usize; // mid-churn: the joiner is live and warming up
     let cfg = || ServeConfig {
         addr: "127.0.0.1:0".into(),
-        snapshot_dir: None,
+        spill_dir: None,
         max_sensors: N_SENSORS + 1,
         wal_dir: Some(dir.clone()),
         ..ServeConfig::default()

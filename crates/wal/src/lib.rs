@@ -15,7 +15,7 @@
 //! segment  := header record*
 //! header   := magic "CADW" | version u16 | reserved u16 | shard u32 | seq u64   (20 bytes, LE)
 //! record   := len u32 | crc32 u32 | payload[len]
-//! payload  := tag u8 | fields…   (tag 1=Create, 2=Push, 3=Close, 4=Checkpoint)
+//! payload  := tag u8 | fields…   (tag 1=Create, 2=Push, 3=Close, 4=Checkpoint, 5=Reshape)
 //! ```
 //!
 //! The CRC-32 (IEEE) covers the payload only. All integers and float bit
@@ -244,9 +244,11 @@ pub enum WalRecord {
         /// Session identifier.
         session_id: u64,
     },
-    /// Durable state (snapshot or spill) covering `samples_seen` ticks was
-    /// written; replay may skip everything for this session before the
-    /// latest applicable checkpoint.
+    /// Durable state covering `samples_seen` ticks was written. Current
+    /// `cad-serve` builds no longer append it (watermarks come from the
+    /// session files themselves), but logs from older builds contain it,
+    /// so it still decodes: an undecodable record would end its
+    /// segment's valid prefix.
     Checkpoint {
         /// Session identifier.
         session_id: u64,

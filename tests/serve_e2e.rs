@@ -5,8 +5,8 @@
 //! a session's outcome stream over the wire must be **bit-identical**
 //! (zscore compared as raw IEEE-754 bits) to a direct [`StreamingCad`]
 //! loop over the same readings — across many concurrent sessions, across
-//! explicit backpressure, and across a kill/restart splice that restores
-//! sessions from snapshots mid-window.
+//! explicit backpressure, and across a kill/restart splice that resumes
+//! sessions from their session files mid-window.
 //!
 //! Like the determinism suite, the whole file honours `CAD_TEST_ENGINE`
 //! (CI runs it under both engines × both thread configs), and one test
@@ -229,7 +229,7 @@ fn splice_one(engine: WireEngine) {
 
     let cfg = || ServeConfig {
         addr: "127.0.0.1:0".into(),
-        snapshot_dir: Some(dir.clone()),
+        spill_dir: Some(dir.clone()),
         ..ServeConfig::default()
     };
 
@@ -403,7 +403,7 @@ fn shutdown_during_backpressure_persists_every_session() {
         // can never see backpressure.
         shards: 1,
         queue_capacity: S as usize, // tiny — concurrent pushers saturate it
-        snapshot_dir: Some(dir.clone()),
+        spill_dir: Some(dir.clone()),
         ..ServeConfig::default()
     };
     let (addr, server) = start_server(cfg());
@@ -521,7 +521,7 @@ fn snapshot_on_demand_writes_a_restorable_file() {
     let dir = unique_dir("ondemand");
     let (addr, server) = start_server(ServeConfig {
         addr: "127.0.0.1:0".into(),
-        snapshot_dir: Some(dir.clone()),
+        spill_dir: Some(dir.clone()),
         ..ServeConfig::default()
     });
     let mut client = ServeClient::connect(&addr, "snap").expect("connect");
@@ -532,9 +532,11 @@ fn snapshot_on_demand_writes_a_restorable_file() {
         .expect("push");
     let bytes = client.snapshot(42).expect("snapshot");
     assert!(bytes > 0);
-    let path = dir.join("session-42.cads");
-    let file = std::fs::File::open(&path).expect("snapshot file exists");
-    let restored = cad_core::load_stream(std::io::BufReader::new(file)).expect("restorable");
+    let path = dir.join("session-42.cadh");
+    let bytes = std::fs::read(&path).expect("snapshot file exists");
+    // The payload follows the one-line `cad-spill v1` header.
+    let nl = bytes.iter().position(|&b| b == b'\n').expect("header line");
+    let restored = cad_core::load_stream(&bytes[nl + 1..]).expect("restorable");
     assert_eq!(restored.samples_seen(), 100);
     client.shutdown_server().expect("shutdown");
     server.join().expect("server thread").expect("server run");
@@ -951,6 +953,19 @@ fn healthz_answers_while_ingress_queues_are_saturated() {
         assert_eq!(http_get(&ops, "/readyz").0, 200);
         assert_eq!(http_get(&ops, "/metrics").0, 200);
     }
+    // A pusher only sees a second Backpressure frame after its first
+    // throttled push was admitted, so three events imply at least one
+    // recorded admission wait.
+    let (_, metrics) = http_get(&ops, "/metrics");
+    let waits: u64 = metrics
+        .lines()
+        .find_map(|l| l.strip_prefix("serve_backpressure_wait_nanos_count "))
+        .and_then(|v| v.trim().parse().ok())
+        .unwrap_or_else(|| panic!("no backpressure wait histogram in /metrics:\n{metrics}"));
+    assert!(
+        waits > 0,
+        "throttled pushes were admitted but no wait was recorded"
+    );
     let (status, tracez) = http_get(&ops, "/tracez");
     assert_eq!(status, 200);
     assert!(tracez.contains("\"events\":"), "{tracez}");
@@ -1124,8 +1139,15 @@ fn restart_scans_spill_dir_and_resumes_hibernated_sessions() {
 
     // Phase 2: fresh daemon, same spill dir. The scan registers the
     // spill; re-attach resumes exactly where the client left off.
-    let (addr, _ops, server) = start_server_with_ops(cfg());
+    let (addr, ops, server) = start_server_with_ops(cfg());
     {
+        // Registered from the header alone: recovered, with counters that
+        // start over in this process.
+        let body = wait_for_sessions_body(&ops, "session 80 registered", |b| {
+            b.contains("\"session_id\":80")
+        });
+        assert!(body.contains("\"resumed\":true"), "{body}");
+        assert!(body.contains("\"rounds\":0"), "{body}");
         let mut client = ServeClient::connect(&addr, "hib-2").expect("connect");
         let h = client.create_session(80, spec(engine)).expect("re-attach");
         assert!(h.resumed, "session 80 should resume from its spill");
@@ -1210,6 +1232,31 @@ fn corrupted_spill_surfaces_resurrect_failed_not_panic() {
     assert_eq!(as_tuples(&outs), reference_outcomes(86, ticks, engine));
     client.shutdown_server().expect("shutdown");
     server.join().expect("server thread").expect("server run");
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// A session file whose header does not parse can never be loaded, so
+/// startup refuses it outright — `InvalidData`, naming the file — rather
+/// than silently serving without that session.
+#[test]
+fn garbage_session_file_header_fails_startup_naming_the_file() {
+    let dir = unique_dir("bad-header");
+    std::fs::create_dir_all(&dir).expect("state dir");
+    let path = dir.join("session-7.cadh");
+    std::fs::write(&path, b"definitely not a session file\npayload\n").expect("write");
+    let err = match CadServer::bind(ServeConfig {
+        addr: "127.0.0.1:0".into(),
+        spill_dir: Some(dir.clone()),
+        ..ServeConfig::default()
+    }) {
+        Ok(_) => panic!("bind accepted a session file with a garbage header"),
+        Err(e) => e,
+    };
+    assert_eq!(err.kind(), std::io::ErrorKind::InvalidData, "{err}");
+    assert!(
+        err.to_string().contains(&path.display().to_string()),
+        "error does not name the file: {err}"
+    );
     let _ = std::fs::remove_dir_all(&dir);
 }
 
