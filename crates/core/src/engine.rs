@@ -63,9 +63,12 @@ pub struct ExactEngine {
     knn: CorrelationKnn,
     knn_cfg: KnnConfig,
     masked: bool,
-    // Masked-mode scratch.
+    // Masked-mode scratch. `cov` is rebuilt in place every round (a
+    // rebuild overwrites every sum) and recreated only when `(n, w)`
+    // changes.
     rows: Vec<f64>,
     matrix: Vec<f64>,
+    cov: Option<MaskedSlidingCov>,
 }
 
 impl ExactEngine {
@@ -86,6 +89,7 @@ impl ExactEngine {
             masked,
             rows: Vec::new(),
             matrix: Vec::new(),
+            cov: None,
         }
     }
 }
@@ -103,7 +107,10 @@ impl RoundEngine for ExactEngine {
         for i in 0..n {
             window.copy_sensor_into(i, &mut self.rows);
         }
-        let mut cov = MaskedSlidingCov::new(n, w);
+        if !matches!(&self.cov, Some(c) if c.n_sensors() == n && c.w() == w) {
+            self.cov = Some(MaskedSlidingCov::new(n, w));
+        }
+        let cov = self.cov.as_mut().expect("sized above");
         cov.rebuild(&self.rows);
         cov.correlation_matrix_into(&mut self.matrix);
         tsg_from_matrix(&self.matrix, n, &self.knn_cfg)
@@ -401,7 +408,7 @@ impl RoundEngine for IncrementalEngine {
 /// concrete access for persistence).
 #[derive(Debug)]
 pub(crate) enum Engine {
-    Exact(ExactEngine),
+    Exact(Box<ExactEngine>),
     Incremental(Box<IncrementalEngine>),
 }
 
@@ -410,8 +417,10 @@ impl Engine {
     pub(crate) fn for_config(config: &CadConfig, n_sensors: usize) -> Self {
         let masked = config.gap_policy.is_masked();
         match config.engine {
-            EngineChoice::Exact if masked => Engine::Exact(ExactEngine::new_masked(config.knn)),
-            EngineChoice::Exact => Engine::Exact(ExactEngine::new(config.knn)),
+            EngineChoice::Exact if masked => {
+                Engine::Exact(Box::new(ExactEngine::new_masked(config.knn)))
+            }
+            EngineChoice::Exact => Engine::Exact(Box::new(ExactEngine::new(config.knn))),
             EngineChoice::Incremental { rebuild_every } => {
                 Engine::Incremental(Box::new(IncrementalEngine::with_masking(
                     config.knn,

@@ -99,42 +99,86 @@ const MATRIX_VERTEX_LIMIT: usize = 2048;
 /// layout.
 const SELECT_CHUNK: usize = 16;
 
-/// The k strongest (by |ρ|) τ-passing neighbours of vertex `u`, given the
-/// pre-computed correlations of `u` against every vertex; ties break toward
-/// the lower vertex id so the TSG is fully deterministic.
+/// Append the k strongest (by |ρ|) τ-passing neighbours of vertex `u` to
+/// `picks`, strongest first, given the correlations of `u` against every
+/// vertex; ties break toward the lower vertex id so the TSG is fully
+/// deterministic.
+///
+/// A bounded insertion into k slots at the end of `picks`: no per-vertex
+/// allocation and no comparator over the whole row. Strength is compared
+/// through `|ρ|.to_bits()`, which orders non-negative finite values like
+/// the values themselves (NaN never passes the τ test). Candidates arrive
+/// in ascending id order, so a candidate whose key equals a held one ranks
+/// after it — the lower-id tie-break.
 fn select_neighbors_from_row(
     correlations: &[f64],
     k: usize,
     tau: f64,
     u: usize,
-    scratch: &mut Vec<(f64, usize)>,
-) -> Vec<(f64, usize)> {
-    // τ-prune before ranking: sorting below-threshold candidates is wasted
-    // work, and dropping them first cannot change the surviving top-k.
-    scratch.clear();
+    picks: &mut Vec<(f64, usize)>,
+) {
+    if k == 0 {
+        return;
+    }
+    let base = picks.len();
+    let key = |c: f64| c.abs().to_bits();
     for (v, &c) in correlations.iter().enumerate() {
-        if v != u && c.abs() >= tau {
-            scratch.push((c, v));
+        let passes = c.abs() >= tau;
+        if v == u || !passes {
+            continue;
+        }
+        let held = &picks[base..];
+        let kc = key(c);
+        if held.len() == k && kc <= key(held[k - 1].0) {
+            continue;
+        }
+        let pos = base + held.partition_point(|&(d, _)| key(d) >= kc);
+        if held.len() == k {
+            picks.pop();
+        }
+        picks.insert(pos, (c, v));
+    }
+}
+
+/// One selection chunk's output: every vertex's picks in one flat buffer,
+/// with `ends[o]` closing the picks of the chunk's `o`-th vertex.
+struct ChunkPicks {
+    picks: Vec<(f64, usize)>,
+    ends: Vec<usize>,
+}
+
+impl ChunkPicks {
+    fn with_capacity(vertices: usize, k: usize) -> Self {
+        Self {
+            picks: Vec::with_capacity(vertices * k),
+            ends: Vec::with_capacity(vertices),
         }
     }
-    let by_strength = |a: &(f64, usize), b: &(f64, usize)| {
-        b.0.abs()
-            .partial_cmp(&a.0.abs())
-            .expect("correlations are finite")
-            .then(a.1.cmp(&b.1))
-    };
-    if k == 0 || scratch.is_empty() {
-        return Vec::new();
+
+    /// Select vertex `u`'s neighbours from its correlation row.
+    fn push_vertex(&mut self, correlations: &[f64], k: usize, tau: f64, u: usize) {
+        select_neighbors_from_row(correlations, k, tau, u, &mut self.picks);
+        self.ends.push(self.picks.len());
     }
-    // O(m) partial selection of the k strongest, then sort only those. The
-    // comparator is a strict total order (ids are distinct), so the result
-    // is independent of `select_nth_unstable_by`'s internal partitioning.
-    if scratch.len() > k {
-        scratch.select_nth_unstable_by(k - 1, by_strength);
-        scratch.truncate(k);
+}
+
+/// Assemble the TSG from per-chunk picks laid out in vertex order.
+fn assemble(n: usize, chunks: &[ChunkPicks]) -> WeightedGraph {
+    let mut graph = WeightedGraph::new(n);
+    let mut u = 0;
+    for chunk in chunks {
+        let mut start = 0;
+        for &end in &chunk.ends {
+            for &(c, v) in &chunk.picks[start..end] {
+                if !graph.has_edge(u, v) {
+                    graph.add_edge(u, v, c);
+                }
+            }
+            start = end;
+            u += 1;
+        }
     }
-    scratch.sort_by(by_strength);
-    scratch.clone()
+    graph
 }
 
 /// TSG assembly from a pre-computed symmetric `n × n` correlation matrix:
@@ -147,32 +191,20 @@ fn select_neighbors_from_row(
 /// selection code path (and its determinism contract).
 pub fn tsg_from_matrix(matrix: &[f64], n: usize, config: &KnnConfig) -> WeightedGraph {
     assert_eq!(matrix.len(), n * n, "matrix must be n × n");
-    let mut graph = WeightedGraph::new(n);
     let k = config.k.min(n.saturating_sub(1));
     if k == 0 {
-        return graph;
+        return WeightedGraph::new(n);
     }
     let tau = config.tau;
     let _t = Timer::start("tsg.select");
-    let selections: Vec<Vec<(f64, usize)>> = {
-        let per_chunk = cad_runtime::par_map_ranges(n, SELECT_CHUNK, |range| {
-            let mut scratch: Vec<(f64, usize)> = Vec::with_capacity(n);
-            range
-                .map(|u| {
-                    select_neighbors_from_row(&matrix[u * n..(u + 1) * n], k, tau, u, &mut scratch)
-                })
-                .collect::<Vec<_>>()
-        });
-        per_chunk.into_iter().flatten().collect()
-    };
-    for (u, chosen) in selections.iter().enumerate() {
-        for &(c, v) in chosen {
-            if !graph.has_edge(u, v) {
-                graph.add_edge(u, v, c);
-            }
+    let chunks = cad_runtime::par_map_ranges(n, SELECT_CHUNK, |range| {
+        let mut chunk = ChunkPicks::with_capacity(range.len(), k);
+        for u in range {
+            chunk.push_vertex(&matrix[u * n..(u + 1) * n], k, tau, u);
         }
-    }
-    graph
+        chunk
+    });
+    assemble(n, &chunks)
 }
 
 /// Correlations of `u` against all vertices, computed directly from the
@@ -260,29 +292,17 @@ impl CorrelationKnn {
             };
             return tsg_from_matrix(&matrix, n, &self.config);
         }
-        let selections: Vec<Vec<(f64, usize)>> = {
-            let _t = Timer::start("tsg.select");
-            let per_chunk = cad_runtime::par_map_ranges(n, SELECT_CHUNK, |range| {
-                let mut scratch: Vec<(f64, usize)> = Vec::with_capacity(n);
-                let mut row: Vec<f64> = Vec::with_capacity(n);
-                range
-                    .map(|u| {
-                        correlation_row(normalized, n, w, u, &mut row);
-                        select_neighbors_from_row(&row, k, tau, u, &mut scratch)
-                    })
-                    .collect::<Vec<_>>()
-            });
-            per_chunk.into_iter().flatten().collect()
-        };
-        let mut graph = WeightedGraph::new(n);
-        for (u, chosen) in selections.iter().enumerate() {
-            for &(c, v) in chosen {
-                if !graph.has_edge(u, v) {
-                    graph.add_edge(u, v, c);
-                }
+        let _t = Timer::start("tsg.select");
+        let chunks = cad_runtime::par_map_ranges(n, SELECT_CHUNK, |range| {
+            let mut chunk = ChunkPicks::with_capacity(range.len(), k);
+            let mut row: Vec<f64> = Vec::with_capacity(n);
+            for u in range {
+                correlation_row(normalized, n, w, u, &mut row);
+                chunk.push_vertex(&row, k, tau, u);
             }
-        }
-        graph
+            chunk
+        });
+        assemble(n, &chunks)
     }
 
     /// HNSW-based candidate search over the already-normalised windows.
@@ -324,6 +344,63 @@ impl CorrelationKnn {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// The collect + partial-select + sort selection the k-slot insertion
+    /// replaced, kept as the oracle.
+    fn reference_selection(row: &[f64], k: usize, tau: f64, u: usize) -> Vec<(f64, usize)> {
+        let mut cands: Vec<(f64, usize)> = row
+            .iter()
+            .enumerate()
+            .filter(|&(v, c)| v != u && c.abs() >= tau)
+            .map(|(v, &c)| (c, v))
+            .collect();
+        cands.sort_by(|a, b| {
+            b.0.abs()
+                .partial_cmp(&a.0.abs())
+                .expect("finite")
+                .then(a.1.cmp(&b.1))
+        });
+        cands.truncate(k);
+        cands
+    }
+
+    #[test]
+    fn slot_selection_matches_sorting_oracle_bit_for_bit() {
+        // A coarse value grid forces ties (including ±x and ±0.0 pairs);
+        // NaN cells must never be picked.
+        let mut state = 0x2545_f491_4f6c_dd1du64;
+        let mut next = || {
+            state ^= state << 13;
+            state ^= state >> 7;
+            state ^= state << 17;
+            state
+        };
+        for case in 0..3000 {
+            let n = 1 + (next() % 40) as usize;
+            let row: Vec<f64> = (0..n)
+                .map(|_| match next() % 10 {
+                    0 => f64::NAN,
+                    1 => -0.0,
+                    2 => 0.0,
+                    r => (next() % 9) as f64 / 8.0 * if r % 2 == 0 { 1.0 } else { -1.0 },
+                })
+                .collect();
+            let k = 1 + (next() % 10) as usize;
+            let tau = [0.0, 0.25, 0.5][case % 3];
+            let u = (next() as usize) % n;
+            let mut picks = vec![(9.0, usize::MAX)];
+            select_neighbors_from_row(&row, k, tau, u, &mut picks);
+            let expect = reference_selection(&row, k, tau, u);
+            assert_eq!(picks.len(), expect.len() + 1, "case {case}: count");
+            for (got, want) in picks[1..].iter().zip(&expect) {
+                assert_eq!(
+                    (got.0.to_bits(), got.1),
+                    (want.0.to_bits(), want.1),
+                    "case {case}: row {row:?} k={k} tau={tau} u={u}"
+                );
+            }
+        }
+    }
 
     /// Two tightly correlated blocks of sensors with an uncorrelated loner.
     fn blocky_mts() -> Mts {

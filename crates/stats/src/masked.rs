@@ -29,8 +29,10 @@
 //! which means the tiled SIMD kernel ([`crate::tiled`]) drives the masked
 //! path exactly like the dense one — same lane-parallel dots, same
 //! tile-chunked parallelism, same thread-count invariance. Slides add the
-//! incoming dots and subtract the outgoing ones; a missing sample
-//! contributes zero everywhere, so retiring it is also zero.
+//! incoming dots and subtract the outgoing ones — six calls to the blocked
+//! slide fold [`crate::tiled::fold_delta_upper`], one per triangle, with
+//! every derived-row buffer kept in the accumulator's scratch; a missing
+//! sample contributes zero everywhere, so retiring it is also zero.
 //!
 //! ## Conventions
 //!
@@ -50,7 +52,9 @@
 
 use cad_runtime::Timer;
 
-use crate::tiled::{active_kernel, dot8, gram_upper_tiled, pair_upper_tiled, Kernel};
+use crate::tiled::{
+    active_kernel, dot8, fold_delta_upper, gram_upper_tiled, pair_upper_tiled, Kernel,
+};
 
 /// Packed-triangle offset of pair `(i, j)`, `j > i`.
 #[inline]
@@ -122,8 +126,13 @@ pub struct MaskedSlidingCov {
     psxy: Vec<f64>,
     /// Whether a rebuild has primed the sums.
     primed: bool,
-    /// Derived-row scratch for [`Self::slide`].
+    /// Derived-row scratch: the window in [`Self::rebuild`], the incoming
+    /// samples in [`Self::slide`].
     scratch: Vec<f64>,
+    /// Derived rows of the retired samples in [`Self::slide`].
+    out_scratch: Vec<f64>,
+    /// Transposed-partner scratch of the blocked slide kernel.
+    partners: Vec<f64>,
 }
 
 impl MaskedSlidingCov {
@@ -146,6 +155,8 @@ impl MaskedSlidingCov {
             psxy: vec![0.0; p],
             primed: false,
             scratch: Vec::new(),
+            out_scratch: Vec::new(),
+            partners: Vec::new(),
         }
     }
 
@@ -323,14 +334,12 @@ impl MaskedSlidingCov {
                 }
             }
         }
-        let mut buf = std::mem::take(&mut self.scratch);
-        let mut out_buf = Vec::new();
-        Self::derive_rows(&self.anchors, incoming, n, cols, &mut buf);
-        Self::derive_rows(&self.anchors, outgoing, n, cols, &mut out_buf);
+        Self::derive_rows(&self.anchors, incoming, n, cols, &mut self.scratch);
+        Self::derive_rows(&self.anchors, outgoing, n, cols, &mut self.out_scratch);
         {
-            let (iv, rest) = buf.split_at(n * cols);
+            let (iv, rest) = self.scratch.split_at(n * cols);
             let (im, iq) = rest.split_at(n * cols);
-            let (ov, rest) = out_buf.split_at(n * cols);
+            let (ov, rest) = self.out_scratch.split_at(n * cols);
             let (om, oq) = rest.split_at(n * cols);
             for i in 0..n {
                 for t in 0..cols {
@@ -341,24 +350,19 @@ impl MaskedSlidingCov {
                 }
             }
             match active_kernel() {
+                // Tiled SIMD kernel: six blocked slide folds, one per
+                // co-moment triangle (see the table in the module docs).
                 Kernel::Tiled => {
-                    let delta = |a: &[f64], b: &[f64], oa: &[f64], ob: &[f64]| {
-                        pair_upper_tiled(n, false, |i, j| {
-                            dot8(seg(a, i, cols), seg(b, j, cols))
-                                - dot8(seg(oa, i, cols), seg(ob, j, cols))
-                        })
+                    let partners = &mut self.partners;
+                    let mut fold = |acc: &mut [f64], a, b, oa, ob| {
+                        fold_delta_upper(acc, n, cols, [a, b], [oa, ob], partners)
                     };
-                    let fold = |acc: &mut [f64], d: Vec<f64>| {
-                        for (a, v) in acc.iter_mut().zip(&d) {
-                            *a += v;
-                        }
-                    };
-                    fold(&mut self.pc, delta(im, im, om, om));
-                    fold(&mut self.psi, delta(iv, im, ov, om));
-                    fold(&mut self.psj, delta(im, iv, om, ov));
-                    fold(&mut self.pqi, delta(iq, im, oq, om));
-                    fold(&mut self.pqj, delta(im, iq, om, oq));
-                    fold(&mut self.psxy, delta(iv, iv, ov, ov));
+                    fold(&mut self.pc, im, im, om, om);
+                    fold(&mut self.psi, iv, im, ov, om);
+                    fold(&mut self.psj, im, iv, om, ov);
+                    fold(&mut self.pqi, iq, im, oq, om);
+                    fold(&mut self.pqj, im, iq, om, oq);
+                    fold(&mut self.psxy, iv, iv, ov, ov);
                 }
                 Kernel::Scalar => {
                     let upper: Vec<Vec<[f64; 6]>> = cad_runtime::par_map_indexed(n, |i| {
@@ -399,7 +403,6 @@ impl MaskedSlidingCov {
                 }
             }
         }
-        self.scratch = buf;
     }
 
     /// Centred variance sum `Σ(x − m)²` of slot `i` over its own valid
@@ -547,6 +550,8 @@ impl MaskedSlidingCov {
             psxy: st.psxy,
             primed: st.primed,
             scratch: Vec::new(),
+            out_scratch: Vec::new(),
+            partners: Vec::new(),
         }
     }
 }

@@ -5,7 +5,10 @@
 //! overlap: it maintains per-sensor running sums `Σx, Σx²` and per-pair
 //! `Σxy` over the current window, updated by *adding* the `s` incoming
 //! points and *retiring* the `s` outgoing ones — O(n²·s) per round instead
-//! of the from-scratch O(n²·w).
+//! of the from-scratch O(n²·w). Under the tiled kernel the pair update is
+//! one call to the blocked slide fold [`crate::tiled::fold_delta_upper`],
+//! which adds the incoming Gram and subtracts the outgoing one in place,
+//! bit-equal to per-pair `dot8` deltas.
 //!
 //! ## Numerical conditioning
 //!
@@ -24,7 +27,7 @@
 
 use cad_runtime::Timer;
 
-use crate::tiled::{active_kernel, dot8, gram_upper_tiled, pair_upper_tiled, Kernel};
+use crate::tiled::{active_kernel, dot8, fold_delta_upper, gram_upper_tiled, Kernel};
 
 /// Per-pair sliding covariance/correlation state over an `n`-sensor window
 /// of length `w`.
@@ -45,6 +48,8 @@ pub struct SlidingCov {
     primed: bool,
     /// Centred incoming/outgoing scratch for [`Self::slide`].
     scratch: Vec<f64>,
+    /// Transposed-partner scratch of the blocked slide kernel.
+    partners: Vec<f64>,
 }
 
 /// Packed-triangle offset of pair `(i, j)`, `j > i`.
@@ -74,6 +79,7 @@ impl SlidingCov {
             sxy: vec![0.0; n.saturating_sub(1) * n / 2],
             primed: false,
             scratch: Vec::new(),
+            partners: Vec::new(),
         }
     }
 
@@ -175,24 +181,18 @@ impl SlidingCov {
         }
         let (cin, cout) = (&*cin, &*cout);
         match active_kernel() {
-            // Tiled SIMD kernel: per-pair deltas are two lane-parallel dots
-            // (incoming Gram minus outgoing Gram), computed tile-chunked
-            // like every other kernel path, then folded into the triangle
-            // in packed order.
-            Kernel::Tiled => {
-                let deltas = pair_upper_tiled(n, false, |i, j| {
-                    dot8(
-                        &cin[i * cols..(i + 1) * cols],
-                        &cin[j * cols..(j + 1) * cols],
-                    ) - dot8(
-                        &cout[i * cols..(i + 1) * cols],
-                        &cout[j * cols..(j + 1) * cols],
-                    )
-                });
-                for (acc, d) in self.sxy.iter_mut().zip(&deltas) {
-                    *acc += d;
-                }
-            }
+            // Tiled SIMD kernel: the blocked slide primitive adds the
+            // incoming Gram and subtracts the outgoing one in place, four
+            // partners per register, each cell bit-equal to the per-pair
+            // `dot8(in_i, in_j) − dot8(out_i, out_j)`.
+            Kernel::Tiled => fold_delta_upper(
+                &mut self.sxy,
+                n,
+                cols,
+                [cin, cin],
+                [cout, cout],
+                &mut self.partners,
+            ),
             // Seed arithmetic: disjoint mutable views of the triangle rows
             // fan out across the pool; each row's update is a pure function
             // of (i, cin, cout), sequentially summed.
@@ -322,6 +322,7 @@ impl SlidingCov {
             sxy,
             primed,
             scratch: Vec::new(),
+            partners: Vec::new(),
         }
     }
 }

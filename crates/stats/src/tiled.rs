@@ -32,6 +32,16 @@
 //!    traversal), so the output is bit-identical for every thread count
 //!    *and* every tile size.
 //!
+//! 3. **Blocked slide fold** ([`fold_delta_upper`]). The incremental
+//!    engines update a packed co-moment triangle by `dot8(in_i, in_j) −
+//!    dot8(out_i, out_j)` per pair every round, with only `s` samples per
+//!    dot — too short for per-pair calls to amortise their dispatch and
+//!    reduction. The partner rows are transposed once per call, so four
+//!    `j` partners share one f64×4 register and each broadcast `in_i[t]`
+//!    feeds eight partners; every register lane still runs the `dot8`
+//!    lane arithmetic, so each cell is bit-equal to the per-pair form,
+//!    and the delta is added in place over the same tile traversal.
+//!
 //! ## Kernel selection
 //!
 //! [`active_kernel`] reads the `CAD_KERNEL` environment variable once:
@@ -360,11 +370,13 @@ pub fn pair_upper_tiled<F>(n: usize, include_diag: bool, f: F) -> Vec<f64>
 where
     F: Fn(usize, usize) -> f64 + Sync,
 {
-    triangle_tiled(n, include_diag, |i, lo, j1, dst| {
+    let mut out = vec![0.0; packed_len(n, include_diag)];
+    triangle_tiled(&mut out, n, include_diag, |i, lo, j1, dst| {
         for (cell, j) in dst.iter_mut().zip(lo..j1) {
             *cell = f(i, j);
         }
-    })
+    });
+    out
 }
 
 /// Gram-matrix specialisation of [`pair_upper_tiled`]: `cell(i, j) =
@@ -376,7 +388,8 @@ where
 pub fn gram_upper_tiled(rows: &[f64], n: usize, w: usize, include_diag: bool) -> Vec<f64> {
     debug_assert!(rows.len() >= n * w);
     let row = |i: usize| &rows[i * w..(i + 1) * w];
-    triangle_tiled(n, include_diag, |i, lo, j1, dst| {
+    let mut out = vec![0.0; packed_len(n, include_diag)];
+    triangle_tiled(&mut out, n, include_diag, |i, lo, j1, dst| {
         let a = row(i);
         let mut j = lo;
         while j + 1 < j1 {
@@ -388,7 +401,314 @@ pub fn gram_upper_tiled(rows: &[f64], n: usize, w: usize, include_diag: bool) ->
         if j < j1 {
             dst[j - lo] = dot8(a, row(j));
         }
-    })
+    });
+    out
+}
+
+/// `j` partners that share one f64×4 register in [`fold_delta_upper`].
+const PARTNERS: usize = 4;
+
+/// Operands of one [`fold_delta_upper`] call: the row-major `n × cols`
+/// blocks and transposed `cols × n` copies of the two partner blocks.
+struct DeltaOperands<'a> {
+    n: usize,
+    cols: usize,
+    a: &'a [f64],
+    b: &'a [f64],
+    a_out: &'a [f64],
+    b_out: &'a [f64],
+    bt: &'a [f64],
+    bt_out: &'a [f64],
+}
+
+impl DeltaOperands<'_> {
+    #[inline]
+    fn row<'b>(&self, block: &'b [f64], i: usize) -> &'b [f64] {
+        &block[i * self.cols..(i + 1) * self.cols]
+    }
+}
+
+/// Blocked slide update of a packed upper triangle (diagonal excluded):
+/// for every pair `i < j`,
+///
+/// `packed[(i, j)] += dot8(a_i, b_j) − dot8(a_out_i, b_out_j)`
+///
+/// where `plus = [a, b]` and `minus = [a_out, b_out]` are row-major
+/// `n × cols` blocks — a sliding window's incoming and retired samples.
+///
+/// Four `j` partners share one f64×4 register: the partner blocks are
+/// transposed into `scratch` (`cols × n`, reused across calls), so one
+/// broadcast `a_i[t]` meets `b[j..j+4][t]` in a single load. Each register
+/// lane runs exactly the [`dot8`] arithmetic — multiply then add (no FMA),
+/// [`DOT_LANES`] accumulator chains, the `reduce_lanes` tree, then the
+/// sequential `cols % 16` tail — so every cell is bit-equal to the
+/// per-pair `dot8` form (asserted in tests, signed zeros included). The
+/// triangle is traversed tile-chunked across the `cad-runtime` pool; each
+/// cell is updated once by one task, so the result is thread-count
+/// invariant.
+pub fn fold_delta_upper(
+    packed: &mut [f64],
+    n: usize,
+    cols: usize,
+    plus: [&[f64]; 2],
+    minus: [&[f64]; 2],
+    scratch: &mut Vec<f64>,
+) {
+    #[cfg(target_arch = "x86_64")]
+    if avx_available() {
+        // SAFETY: AVX support was verified at runtime.
+        return unsafe { fold_delta_upper_avx(packed, n, cols, plus, minus, scratch) };
+    }
+    fold_delta_upper_portable(packed, n, cols, plus, minus, scratch)
+}
+
+/// Portable implementation of [`fold_delta_upper`]: the same lane
+/// arithmetic on `[f64; 4]` partner arrays; the fewer-than-four partners
+/// left at a tile row's end use [`dot8_portable`].
+fn fold_delta_upper_portable(
+    packed: &mut [f64],
+    n: usize,
+    cols: usize,
+    plus: [&[f64]; 2],
+    minus: [&[f64]; 2],
+    scratch: &mut Vec<f64>,
+) {
+    fold_delta_with(packed, n, cols, plus, minus, scratch, delta_row_portable)
+}
+
+/// Explicit AVX implementation of [`fold_delta_upper`].
+///
+/// # Safety
+/// Caller must ensure the CPU supports AVX.
+#[cfg(target_arch = "x86_64")]
+unsafe fn fold_delta_upper_avx(
+    packed: &mut [f64],
+    n: usize,
+    cols: usize,
+    plus: [&[f64]; 2],
+    minus: [&[f64]; 2],
+    scratch: &mut Vec<f64>,
+) {
+    fold_delta_with(
+        packed,
+        n,
+        cols,
+        plus,
+        minus,
+        scratch,
+        |op, i, lo, j1, dst| {
+            // SAFETY: the caller guarantees AVX support.
+            unsafe { delta_row_avx(op, i, lo, j1, dst) }
+        },
+    )
+}
+
+/// What both bodies share: transpose the partner blocks into
+/// `scratch`, then hand every tile row of the triangle to `row_body`.
+fn fold_delta_with<F>(
+    packed: &mut [f64],
+    n: usize,
+    cols: usize,
+    [a, b]: [&[f64]; 2],
+    [a_out, b_out]: [&[f64]; 2],
+    scratch: &mut Vec<f64>,
+    row_body: F,
+) where
+    F: Fn(&DeltaOperands, usize, usize, usize, &mut [f64]) + Sync,
+{
+    for block in [a, b, a_out, b_out] {
+        assert_eq!(block.len(), n * cols, "operands must be n × cols");
+    }
+    scratch.clear();
+    scratch.resize(2 * n * cols, 0.0);
+    let (bt, bt_out) = scratch.split_at_mut(n * cols);
+    for (src, dst) in [(b, &mut *bt), (b_out, &mut *bt_out)] {
+        for (i, row) in src.chunks_exact(cols.max(1)).enumerate() {
+            for (t, &x) in row.iter().enumerate() {
+                dst[t * n + i] = x;
+            }
+        }
+    }
+    let op = DeltaOperands {
+        n,
+        cols,
+        a,
+        b,
+        a_out,
+        b_out,
+        bt,
+        bt_out,
+    };
+    triangle_tiled(packed, n, false, |i, lo, j1, dst| {
+        row_body(&op, i, lo, j1, dst)
+    });
+}
+
+/// One tile row of the portable body: four-partner blocks, then the
+/// per-pair remainder.
+fn delta_row_portable(op: &DeltaOperands, i: usize, lo: usize, j1: usize, dst: &mut [f64]) {
+    let (a, a_out) = (op.row(op.a, i), op.row(op.a_out, i));
+    let mut j = lo;
+    while j + PARTNERS <= j1 {
+        let add = dot8x4t_portable(a, op.bt, op.n, j);
+        let sub = dot8x4t_portable(a_out, op.bt_out, op.n, j);
+        for (p, cell) in dst[j - lo..j - lo + PARTNERS].iter_mut().enumerate() {
+            *cell += add[p] - sub[p];
+        }
+        j += PARTNERS;
+    }
+    for j in j..j1 {
+        dst[j - lo] +=
+            dot8_portable(a, op.row(op.b, j)) - dot8_portable(a_out, op.row(op.b_out, j));
+    }
+}
+
+/// `dot8(a, b_p)` for the four partners `p = j..j+4`, read from the
+/// transposed block `bt` (`a.len() × n`).
+///
+/// Lane chains are built one reduction quartet at a time — lanes `k, k+4,
+/// k+8, k+12` make `m_k = (l_k + l_{k+8}) + (l_{k+4} + l_{k+12})` — which
+/// keeps few accumulators live and is the [`reduce_lanes`] tree exactly.
+/// Each chain starts from its first product rather than from `0.0 +` it:
+/// the two differ only where every summand so far is `-0.0` (the sum is
+/// then `-0.0` where `dot8` has `+0.0`), and that difference survives the
+/// tree only as a `-0.0` total, so one `+ 0.0` after the tree gives
+/// `dot8`'s bits while saving an add per lane.
+#[inline]
+fn dot8x4t_portable(a: &[f64], bt: &[f64], n: usize, j: usize) -> [f64; PARTNERS] {
+    let cols = a.len();
+    let chunks = cols / DOT_LANES;
+    let col = |t: usize| -> &[f64; PARTNERS] {
+        bt[t * n + j..t * n + j + PARTNERS]
+            .try_into()
+            .expect("partner block")
+    };
+    let term = |t: usize| -> [f64; PARTNERS] { col(t).map(|b| a[t] * b) };
+    let mut m = [[0.0f64; PARTNERS]; 4];
+    if chunks > 0 {
+        for (k, mk) in m.iter_mut().enumerate() {
+            let mut l = [term(k), term(k + 4), term(k + 8), term(k + 12)];
+            for c in 1..chunks {
+                for (q, lq) in l.iter_mut().enumerate() {
+                    let x = term(c * DOT_LANES + k + 4 * q);
+                    for p in 0..PARTNERS {
+                        lq[p] += x[p];
+                    }
+                }
+            }
+            for p in 0..PARTNERS {
+                mk[p] = (l[0][p] + l[2][p]) + (l[1][p] + l[3][p]);
+            }
+        }
+    }
+    let mut sum = [0.0f64; PARTNERS];
+    for p in 0..PARTNERS {
+        sum[p] = ((m[0][p] + m[2][p]) + (m[1][p] + m[3][p])) + 0.0;
+    }
+    for t in chunks * DOT_LANES..cols {
+        let x = term(t);
+        for p in 0..PARTNERS {
+            sum[p] += x[p];
+        }
+    }
+    sum
+}
+
+/// `__m256d` registers per step of the AVX body: the [`PARTNERS`] of each
+/// register share one broadcast of `a_i[t]` with the other register's.
+#[cfg(target_arch = "x86_64")]
+const STEP_REGS: usize = 2;
+
+/// One tile row of the AVX body: the lane arithmetic of
+/// [`dot8x4t_portable`] with one `__m256d` per four partners (multiply
+/// then add, no FMA), eight partners per step.
+///
+/// A step that would run past the row's end is shifted left to end at
+/// `n` when the row is near the matrix edge; either way only the row's own
+/// cells are updated, and the extra lanes — pure functions of their own
+/// `(i, j)` — are dropped. Rows narrower than a step (`n < 8`) use
+/// per-pair [`dot8_avx`].
+///
+/// # Safety
+/// Caller must ensure the CPU supports AVX.
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx")]
+unsafe fn delta_row_avx(op: &DeltaOperands, i: usize, lo: usize, j1: usize, dst: &mut [f64]) {
+    use core::arch::x86_64::*;
+    const STEP: usize = STEP_REGS * PARTNERS;
+    type Regs = [__m256d; STEP_REGS];
+    let (n, cols) = (op.n, op.cols);
+    let chunks = cols / DOT_LANES;
+    let (a, a_out) = (op.row(op.a, i), op.row(op.a_out, i));
+    assert!(j1 <= n && dst.len() == j1 - lo, "tile row in bounds");
+    assert!(op.bt.len() == cols * n && op.bt_out.len() == cols * n);
+    if n < STEP {
+        for j in lo..j1 {
+            dst[j - lo] += dot8_avx(a, op.row(op.b, j)) - dot8_avx(a_out, op.row(op.b_out, j));
+        }
+        return;
+    }
+    let add = |x: Regs, y: Regs| -> Regs {
+        let mut out = x;
+        for r in 0..STEP_REGS {
+            out[r] = _mm256_add_pd(x[r], y[r]);
+        }
+        out
+    };
+    // `dot8(x, b_p)` for partners `p = j..j + STEP` of the transposed block
+    // `bt`. SAFETY (every load): t < cols and j + STEP ≤ n, so the last
+    // element read, t·n + j + STEP − 1, is inside the `cols × n` block.
+    let dots = |x: *const f64, bt: *const f64, j: usize| -> Regs {
+        let pb = bt.add(j);
+        let term = |t: usize| -> Regs {
+            let xt = _mm256_broadcast_sd(&*x.add(t));
+            let mut out = [_mm256_setzero_pd(); STEP_REGS];
+            for (r, o) in out.iter_mut().enumerate() {
+                *o = _mm256_mul_pd(xt, _mm256_loadu_pd(pb.add(t * n + r * PARTNERS)));
+            }
+            out
+        };
+        let zero = [_mm256_setzero_pd(); STEP_REGS];
+        // m_k from lanes k, k+4, k+8, k+12; summing m_0 + m_2 before m_1
+        // and m_3 are built keeps the live registers within the sixteen.
+        let quartet = |k: usize| -> Regs {
+            if chunks == 0 {
+                return zero;
+            }
+            let mut l = [term(k), term(k + 4), term(k + 8), term(k + 12)];
+            for c in 1..chunks {
+                for (q, lq) in l.iter_mut().enumerate() {
+                    *lq = add(*lq, term(c * DOT_LANES + k + 4 * q));
+                }
+            }
+            add(add(l[0], l[2]), add(l[1], l[3]))
+        };
+        let m02 = add(quartet(0), quartet(2));
+        let m13 = add(quartet(1), quartet(3));
+        // The `+ 0.0` owed by chains seeded from their first product.
+        let mut sum = add(add(m02, m13), zero);
+        for t in chunks * DOT_LANES..cols {
+            sum = add(sum, term(t));
+        }
+        sum
+    };
+    let mut j = lo;
+    while j < j1 {
+        let base = j.min(n - STEP);
+        let plus = dots(a.as_ptr(), op.bt.as_ptr(), base);
+        let minus = dots(a_out.as_ptr(), op.bt_out.as_ptr(), base);
+        let mut delta = [0.0f64; STEP];
+        for r in 0..STEP_REGS {
+            let d = _mm256_sub_pd(plus[r], minus[r]);
+            // SAFETY: r·PARTNERS + PARTNERS ≤ STEP, the length of `delta`.
+            _mm256_storeu_pd(delta.as_mut_ptr().add(r * PARTNERS), d);
+        }
+        let end = j1.min(base + STEP);
+        for (cell, d) in dst[j - lo..end - lo].iter_mut().zip(&delta[j - base..]) {
+            *cell += d;
+        }
+        j = end;
+    }
 }
 
 /// Shared pointer to the packed output, handed to pool workers. Writes are
@@ -410,23 +730,32 @@ impl PackedOut {
     }
 }
 
-/// Shared traversal of both tiled pair maps: enumerate the upper triangle
-/// as [`TILE`]`×`[`TILE`] tiles (one pool work unit each) and call
-/// `fill(i, lo, j1, dst)` once per tile row, where `dst` is the row's
-/// packed destination segment for columns `lo..j1` — written in place, no
-/// per-tile staging buffers or serial scatter pass. Cell values stay pure
-/// functions of `(i, j)` written exactly once, so the output is
-/// bit-identical for every thread count and tile size.
-fn triangle_tiled<F>(n: usize, include_diag: bool, fill: F) -> Vec<f64>
-where
-    F: Fn(usize, usize, usize, &mut [f64]) + Sync,
-{
-    let diag = usize::from(include_diag);
-    let packed_len = if include_diag {
+/// Cells of the packed upper triangle over `n` rows.
+fn packed_len(n: usize, include_diag: bool) -> usize {
+    if include_diag {
         n * (n + 1) / 2
     } else {
         n.saturating_sub(1) * n / 2
-    };
+    }
+}
+
+/// Shared traversal of every tiled pair map: enumerate the upper triangle
+/// as [`TILE`]`×`[`TILE`] tiles (one pool work unit each) and call
+/// `fill(i, lo, j1, dst)` once per tile row, where `dst` is the row's
+/// packed segment of `out` for columns `lo..j1` — written in place, no
+/// per-tile staging buffers or serial scatter pass. Each cell is visited
+/// exactly once by a function of `(i, j)` alone, so the output is
+/// bit-identical for every thread count and tile size.
+fn triangle_tiled<F>(out: &mut [f64], n: usize, include_diag: bool, fill: F)
+where
+    F: Fn(usize, usize, usize, &mut [f64]) + Sync,
+{
+    assert_eq!(
+        out.len(),
+        packed_len(n, include_diag),
+        "packed triangle length"
+    );
+    let diag = usize::from(include_diag);
     // Packed row-major start of row `i`: row i holds pairs (i, i+diag)..(i, n).
     let row_start = |i: usize| -> usize {
         if include_diag {
@@ -435,9 +764,8 @@ where
             i * (2 * n - i - 1) / 2
         }
     };
-    let mut out = vec![0.0; packed_len];
     if n == 0 {
-        return out;
+        return;
     }
     let nt = n.div_ceil(TILE);
     // Upper-triangle tile tasks, enumerated row-major: (ti, tj) with
@@ -473,7 +801,6 @@ where
             fill(i, lo, j1, seg);
         }
     });
-    out
 }
 
 #[cfg(test)]
@@ -600,6 +927,107 @@ mod tests {
                 .all(|(a, b)| a.to_bits() == b.to_bits()),
             "tiled pair map must be bit-identical for any thread count"
         );
+    }
+
+    /// Row-major `n × cols` block with signed zeros mixed in, so the
+    /// `0.0 + -0.0` corner of the lane chains is exercised.
+    /// Row-major `n × cols` block with signed zeros mixed in.
+    fn zeroed_block(n: usize, cols: usize, seed: usize) -> Vec<f64> {
+        let mut block = series(n * cols, seed);
+        for (t, x) in block.iter_mut().enumerate() {
+            match (t * 7 + seed) % 11 {
+                0 => *x = 0.0,
+                1 => *x = -0.0,
+                _ => {}
+            }
+        }
+        block
+    }
+
+    /// The per-pair `dot8` fold [`fold_delta_upper`] replaces.
+    fn fold_per_pair(packed: &mut [f64], n: usize, cols: usize, ops: [&[f64]; 4]) {
+        let row =
+            |block: &[f64], i: usize| -> Vec<f64> { block[i * cols..(i + 1) * cols].to_vec() };
+        let [a, b, a_out, b_out] = ops;
+        let mut cell = packed.iter_mut();
+        for i in 0..n {
+            for j in (i + 1)..n {
+                *cell.next().expect("packed length") +=
+                    dot8(&row(a, i), &row(b, j)) - dot8(&row(a_out, i), &row(b_out, j));
+            }
+        }
+    }
+
+    fn same_bits(x: &[f64], y: &[f64]) -> bool {
+        x.len() == y.len() && x.iter().zip(y).all(|(a, b)| a.to_bits() == b.to_bits())
+    }
+
+    /// Portable body, AVX body and the dispatched kernel at 1 and 4
+    /// threads, each from `start`, against the per-pair `dot8` fold.
+    fn check_fold(n: usize, cols: usize, ops: [&[f64]; 4], start: &[f64], ctx: &str) {
+        let [a, b, a_out, b_out] = ops;
+        let mut expect = start.to_vec();
+        fold_per_pair(&mut expect, n, cols, ops);
+        let mut scratch = Vec::new();
+
+        let mut portable = start.to_vec();
+        fold_delta_upper_portable(&mut portable, n, cols, [a, b], [a_out, b_out], &mut scratch);
+        assert!(
+            same_bits(&portable, &expect),
+            "{ctx}: portable vs per-pair dot8"
+        );
+        #[cfg(target_arch = "x86_64")]
+        if avx_available() {
+            let mut simd = start.to_vec();
+            // SAFETY: AVX support was checked just above.
+            unsafe {
+                fold_delta_upper_avx(&mut simd, n, cols, [a, b], [a_out, b_out], &mut scratch)
+            };
+            assert!(same_bits(&simd, &portable), "{ctx}: AVX vs portable");
+        }
+        for threads in [1, 4] {
+            let out = cad_runtime::with_thread_override(threads, || {
+                let mut out = start.to_vec();
+                fold_delta_upper(&mut out, n, cols, [a, b], [a_out, b_out], &mut scratch);
+                out
+            });
+            assert!(
+                same_bits(&out, &expect),
+                "{ctx}: dispatched at {threads} thread(s)"
+            );
+        }
+    }
+
+    #[test]
+    fn fold_delta_is_bit_equal_to_per_pair_fold_in_every_body() {
+        for n in [1, 2, 3, 4, 5, 33, 130, 256] {
+            for cols in [1, 7, 8, 16, 17, 24, 48] {
+                let ops: Vec<Vec<f64>> = (1..=4).map(|seed| zeroed_block(n, cols, seed)).collect();
+                let start: Vec<f64> = series(packed_len(n, false), 5)
+                    .into_iter()
+                    .enumerate()
+                    .map(|(p, x)| if p % 4 == 0 { -0.0 } else { x })
+                    .collect();
+                let ops = [&ops[0][..], &ops[1], &ops[2], &ops[3]];
+                check_fold(n, cols, ops, &start, &format!("n={n} cols={cols}"));
+            }
+        }
+    }
+
+    #[test]
+    fn fold_delta_keeps_dot8_signed_zeros() {
+        // Every incoming product is -0.0, so every incoming lane chain sums
+        // to -0.0 — where `dot8`, whose chains start at 0.0, has +0.0 — and
+        // every retired product is +0.0. A -0.0 delta would survive the
+        // fold into a -0.0 cell; the per-pair fold gives +0.0.
+        let n = 9;
+        for cols in [7, 16, 33] {
+            let (neg_zero, one) = (vec![-0.0; n * cols], vec![1.0; n * cols]);
+            let minus_one = vec![-1.0; n * cols];
+            let start = vec![-0.0; packed_len(n, false)];
+            let ops = [&neg_zero[..], &one, &neg_zero, &minus_one];
+            check_fold(n, cols, ops, &start, &format!("signed zeros, cols={cols}"));
+        }
     }
 
     #[test]

@@ -14,6 +14,11 @@ Default (pipeline) mode compares a freshly produced
   it.
 * ``rounds_per_sec`` — end-to-end throughput of the parallel exact pass,
   which catches regressions outside the correlation phase.
+* ``phases_incremental['sliding.slide'].secs`` — the incremental engine's
+  blocked slide kernel; a revert to the per-pair ``dot8`` fold roughly
+  doubles it.
+* ``incremental_rounds_per_sec`` — end-to-end throughput of the
+  incremental pass.
 
 ``--serve`` mode compares ``results/BENCH_serve.json`` (written by the
 loadgen at the reduced CI profile) against the committed
@@ -40,11 +45,11 @@ import os
 import sys
 
 
-def phase_secs(report, name):
-    phases = report.get("phases_serial", {})
+def phase_secs(report, name, section="phases_serial"):
+    phases = report.get(section, {})
     entry = phases.get(name)
     if entry is None:
-        raise KeyError(f"phases_serial[{name!r}] missing from report")
+        raise KeyError(f"{section}[{name!r}] missing from report")
     return float(entry["secs"])
 
 
@@ -76,6 +81,18 @@ GATES = {
                 False,
             ),
             ("rounds_per_sec", lambda r: top_level(r, "rounds_per_sec"), True),
+            # The incremental engine's blocked slide kernel; a revert to the
+            # per-pair dot8 fold roughly doubles it.
+            (
+                "phases_incremental['sliding.slide'].secs",
+                lambda r: phase_secs(r, "sliding.slide", "phases_incremental"),
+                False,
+            ),
+            (
+                "incremental_rounds_per_sec",
+                lambda r: top_level(r, "incremental_rounds_per_sec"),
+                True,
+            ),
         ],
     },
     "perf-serve": {
