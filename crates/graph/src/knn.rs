@@ -9,7 +9,9 @@
 //! pairwise correlation into a dot product (O(w)). The exact path then
 //! computes the round's correlation matrix over the upper triangle only —
 //! O(n²/2·w), parallel across the `cad-runtime` pool — and selects each
-//! vertex's top-k from its matrix row (O(n·k log n) total). The paper
+//! vertex's top-k from its matrix row: one branch-free scan sets a bar no
+//! stronger than the k-th pick, and a sort of the few cells at or above
+//! it finishes the selection (O(n) per vertex plus that sort). The paper
 //! reaches O(n log n) with approximate HNSW search — exactness here only
 //! improves the graphs (see DESIGN.md substitution #3).
 //!
@@ -99,17 +101,69 @@ const MATRIX_VERTEX_LIMIT: usize = 2048;
 /// layout.
 const SELECT_CHUNK: usize = 16;
 
+/// Columns per block of the selection scans: eight independent lanes, so
+/// the scans carry no serial dependency chain and no data-dependent branch
+/// per cell.
+const LANES: usize = 8;
+
+/// Largest `|ρ|` in `cells`, NaN ignored (−1.0 when every cell is NaN or
+/// `cells` is empty).
+fn strongest(cells: &[f64]) -> f64 {
+    let mut lanes = [-1.0f64; LANES];
+    let mut blocks = cells.chunks_exact(LANES);
+    for block in &mut blocks {
+        for (m, &c) in lanes.iter_mut().zip(block) {
+            let a = c.abs();
+            // A NaN `a` fails the comparison and leaves the lane as is.
+            *m = if a > *m { a } else { *m };
+        }
+    }
+    blocks
+        .remainder()
+        .iter()
+        .map(|&c| c.abs())
+        .chain(lanes)
+        .fold(-1.0, |m, a| if a > m { a } else { m })
+}
+
+/// A lower bound on the k-th strongest τ-passing, non-self `|ρ|` of the
+/// row: the row is split into `k` disjoint groups of `⌊n/8k⌋·8` columns,
+/// and when every group's strongest non-self cell passes τ, the weakest of
+/// those `k` maxima is met or beaten by `k` distinct candidates. Falls
+/// back to `τ` when `n < 8k` or when some group has no passing cell.
+fn selection_bar(correlations: &[f64], k: usize, tau: f64, u: usize) -> f64 {
+    let group = correlations.len() / (LANES * k) * LANES;
+    if group == 0 {
+        return tau;
+    }
+    let mut bar = f64::INFINITY;
+    for (g, cells) in correlations[..k * group].chunks_exact(group).enumerate() {
+        let best = match u.checked_sub(g * group) {
+            Some(at) if at < group => strongest(&cells[..at]).max(strongest(&cells[at + 1..])),
+            _ => strongest(cells),
+        };
+        if best < tau {
+            return tau;
+        }
+        bar = bar.min(best);
+    }
+    bar
+}
+
 /// Append the k strongest (by |ρ|) τ-passing neighbours of vertex `u` to
 /// `picks`, strongest first, given the correlations of `u` against every
 /// vertex; ties break toward the lower vertex id so the TSG is fully
 /// deterministic.
 ///
-/// A bounded insertion into k slots at the end of `picks`: no per-vertex
-/// allocation and no comparator over the whole row. Strength is compared
-/// through `|ρ|.to_bits()`, which orders non-negative finite values like
-/// the values themselves (NaN never passes the τ test). Candidates arrive
-/// in ascending id order, so a candidate whose key equals a held one ranks
-/// after it — the lower-id tie-break.
+/// The exact top-k in three steps, with no per-vertex allocation: a
+/// branch-free scan sets a [`selection_bar`] no stronger than the k-th
+/// pick; one ascending pass appends every non-self cell at or above it
+/// (about a dozen on 256-sensor data with k = 8, τ = 0.5), skipping whole
+/// blocks of eight that hold none; one sort of those candidates by
+/// (`|ρ|.to_bits()` descending, id ascending) and a truncation to k finish
+/// it. The bar is at least τ, so every candidate passes τ; NaN fails every
+/// comparison and is never a candidate. O(n) per vertex plus the sort of
+/// the candidates.
 fn select_neighbors_from_row(
     correlations: &[f64],
     k: usize,
@@ -120,62 +174,89 @@ fn select_neighbors_from_row(
     if k == 0 {
         return;
     }
+    let bar = selection_bar(correlations, k, tau, u);
     let base = picks.len();
-    let key = |c: f64| c.abs().to_bits();
-    for (v, &c) in correlations.iter().enumerate() {
-        let passes = c.abs() >= tau;
-        if v == u || !passes {
-            continue;
+    let mut take = |from: usize, cells: &[f64]| {
+        for (v, &c) in (from..).zip(cells) {
+            if c.abs() >= bar && v != u {
+                picks.push((c, v));
+            }
         }
-        let held = &picks[base..];
-        let kc = key(c);
-        if held.len() == k && kc <= key(held[k - 1].0) {
-            continue;
+    };
+    let mut blocks = correlations.chunks_exact(LANES);
+    for (b, block) in (&mut blocks).enumerate() {
+        if block.iter().fold(false, |hit, &c| hit | (c.abs() >= bar)) {
+            take(b * LANES, block);
         }
-        let pos = base + held.partition_point(|&(d, _)| key(d) >= kc);
-        if held.len() == k {
-            picks.pop();
-        }
-        picks.insert(pos, (c, v));
     }
+    take(correlations.len() / LANES * LANES, blocks.remainder());
+    let key = |c: f64| c.abs().to_bits();
+    picks[base..].sort_unstable_by(|a, b| key(b.0).cmp(&key(a.0)).then(a.1.cmp(&b.1)));
+    picks.truncate(base + k);
 }
 
 /// One selection chunk's output: every vertex's picks in one flat buffer,
-/// with `ends[o]` closing the picks of the chunk's `o`-th vertex.
+/// with `bounds[o]..bounds[o + 1]` holding the picks of the chunk's `o`-th
+/// vertex.
 struct ChunkPicks {
     picks: Vec<(f64, usize)>,
-    ends: Vec<usize>,
+    bounds: Vec<usize>,
 }
 
 impl ChunkPicks {
     fn with_capacity(vertices: usize, k: usize) -> Self {
+        let mut bounds = Vec::with_capacity(vertices + 1);
+        bounds.push(0);
         Self {
             picks: Vec::with_capacity(vertices * k),
-            ends: Vec::with_capacity(vertices),
+            bounds,
         }
     }
 
     /// Select vertex `u`'s neighbours from its correlation row.
     fn push_vertex(&mut self, correlations: &[f64], k: usize, tau: f64, u: usize) {
         select_neighbors_from_row(correlations, k, tau, u, &mut self.picks);
-        self.ends.push(self.picks.len());
+        self.bounds.push(self.picks.len());
+    }
+
+    /// Picks of the chunk's `o`-th vertex.
+    fn vertex(&self, o: usize) -> &[(f64, usize)] {
+        &self.picks[self.bounds[o]..self.bounds[o + 1]]
     }
 }
 
-/// Assemble the TSG from per-chunk picks laid out in vertex order.
+/// Assemble the TSG from per-chunk picks laid out in vertex order (chunk
+/// `c` holds vertices `c·SELECT_CHUNK..`), adding `{u, v}` for every pick
+/// in vertex order, then pick order, unless it is already present.
+///
+/// While vertex `u` is processed, `{u, v}` already exists exactly when
+/// `v < u` and `v` picked `u` — an O(k) look at `v`'s picks instead of an
+/// adjacency scan. A first pass makes that call for every pick and counts
+/// every vertex's degree, so each adjacency list is allocated once at its
+/// final size; the second pushes the new edges in the same order as
+/// repeated `add_edge` would, which keeps the adjacency order that
+/// `WeightedGraph`'s equality and Louvain read.
 fn assemble(n: usize, chunks: &[ChunkPicks]) -> WeightedGraph {
-    let mut graph = WeightedGraph::new(n);
-    let mut u = 0;
-    for chunk in chunks {
-        let mut start = 0;
-        for &end in &chunk.ends {
-            for &(c, v) in &chunk.picks[start..end] {
-                if !graph.has_edge(u, v) {
-                    graph.add_edge(u, v, c);
-                }
+    let picks_of = |u: usize| chunks[u / SELECT_CHUNK].vertex(u % SELECT_CHUNK);
+    let mut fresh = Vec::with_capacity(chunks.iter().map(|c| c.picks.len()).sum());
+    let mut degrees = vec![0; n];
+    for u in 0..n {
+        for &(_, v) in picks_of(u) {
+            let new = !(v < u && picks_of(v).iter().any(|&(_, w)| w == u));
+            if new {
+                degrees[u] += 1;
+                degrees[v] += 1;
             }
-            start = end;
-            u += 1;
+            fresh.push(new);
+        }
+    }
+    let mut graph = WeightedGraph::with_degrees(&degrees);
+    let mut fresh = fresh.into_iter();
+    for u in 0..n {
+        for &(c, v) in picks_of(u) {
+            if fresh.next() == Some(true) {
+                graph.push_edge_unchecked(u, v, c);
+            }
         }
     }
     graph
@@ -345,8 +426,7 @@ impl CorrelationKnn {
 mod tests {
     use super::*;
 
-    /// The collect + partial-select + sort selection the k-slot insertion
-    /// replaced, kept as the oracle.
+    /// The collect + sort selection over the whole row, kept as the oracle.
     fn reference_selection(row: &[f64], k: usize, tau: f64, u: usize) -> Vec<(f64, usize)> {
         let mut cands: Vec<(f64, usize)> = row
             .iter()
@@ -364,19 +444,62 @@ mod tests {
         cands
     }
 
-    #[test]
-    fn slot_selection_matches_sorting_oracle_bit_for_bit() {
-        // A coarse value grid forces ties (including ±x and ±0.0 pairs);
-        // NaN cells must never be picked.
-        let mut state = 0x2545_f491_4f6c_dd1du64;
-        let mut next = || {
+    /// xorshift64 stream for the randomised oracle tests.
+    fn xorshift(mut state: u64) -> impl FnMut() -> u64 {
+        move || {
             state ^= state << 13;
             state ^= state >> 7;
             state ^= state << 17;
             state
-        };
-        for case in 0..3000 {
-            let n = 1 + (next() % 40) as usize;
+        }
+    }
+
+    /// Every vertex position worth testing in a row of `n` cells split
+    /// into `k` groups: the first, last and a random column of each group,
+    /// the first group-free column, the last column and one random column.
+    fn probe_positions(n: usize, k: usize, next: &mut impl FnMut() -> u64) -> Vec<usize> {
+        let group = n / (LANES * k) * LANES;
+        let mut at = vec![0, n - 1, (next() as usize) % n];
+        if group > 0 {
+            for g in 0..k {
+                let start = g * group;
+                at.extend([start, start + group - 1, start + (next() as usize) % group]);
+            }
+            at.push((k * group).min(n - 1));
+        }
+        at.sort_unstable();
+        at.dedup();
+        at
+    }
+
+    fn assert_selection_matches_oracle(row: &[f64], k: usize, tau: f64, u: usize, ctx: &str) {
+        let mut picks = vec![(9.0, usize::MAX)];
+        select_neighbors_from_row(row, k, tau, u, &mut picks);
+        let expect = reference_selection(row, k, tau, u);
+        assert_eq!(picks.len(), expect.len() + 1, "{ctx}: count");
+        assert_eq!(picks[0].1, usize::MAX, "{ctx}: earlier picks disturbed");
+        for (got, want) in picks[1..].iter().zip(&expect) {
+            assert_eq!(
+                (got.0.to_bits(), got.1),
+                (want.0.to_bits(), want.1),
+                "{ctx}: k={k} tau={tau} u={u}"
+            );
+        }
+    }
+
+    #[test]
+    fn selection_matches_sorting_oracle_bit_for_bit() {
+        // A coarse value grid forces ties (including ±x and ±0.0 pairs);
+        // NaN cells must never be picked. Rows up to 600 cells with k up
+        // to 16 reach the bar path (n ≥ 8k), with the vertex itself in
+        // every group and in the group-free tail.
+        let mut next = xorshift(0x2545_f491_4f6c_dd1d);
+        for case in 0..600 {
+            let n = match case % 4 {
+                0 => 1 + (next() % 40) as usize,
+                1 => 8 * (1 + (next() % 75) as usize),
+                _ => 1 + (next() % 600) as usize,
+            };
             let row: Vec<f64> = (0..n)
                 .map(|_| match next() % 10 {
                     0 => f64::NAN,
@@ -385,20 +508,83 @@ mod tests {
                     r => (next() % 9) as f64 / 8.0 * if r % 2 == 0 { 1.0 } else { -1.0 },
                 })
                 .collect();
-            let k = 1 + (next() % 10) as usize;
+            let k = 1 + (next() % 16) as usize;
             let tau = [0.0, 0.25, 0.5][case % 3];
-            let u = (next() as usize) % n;
-            let mut picks = vec![(9.0, usize::MAX)];
-            select_neighbors_from_row(&row, k, tau, u, &mut picks);
-            let expect = reference_selection(&row, k, tau, u);
-            assert_eq!(picks.len(), expect.len() + 1, "case {case}: count");
-            for (got, want) in picks[1..].iter().zip(&expect) {
-                assert_eq!(
-                    (got.0.to_bits(), got.1),
-                    (want.0.to_bits(), want.1),
-                    "case {case}: row {row:?} k={k} tau={tau} u={u}"
-                );
+            for u in probe_positions(n, k, &mut next) {
+                assert_selection_matches_oracle(&row, k, tau, u, &format!("case {case} n={n}"));
             }
+        }
+    }
+
+    #[test]
+    fn selection_of_uniform_rows_keeps_the_lowest_ids() {
+        let mut next = xorshift(0x9e37_79b9_7f4a_7c15);
+        for value in [0.75, -0.75, 0.25, 0.0, -0.0, f64::NAN] {
+            for n in [1usize, 7, 64, 129, 263, 600] {
+                let row = vec![value; n];
+                for k in [1usize, 3, 8, 16] {
+                    for tau in [0.0, 0.25, 0.5] {
+                        for u in probe_positions(n, k, &mut next) {
+                            let ctx = format!("value={value} n={n}");
+                            assert_selection_matches_oracle(&row, k, tau, u, &ctx);
+                        }
+                    }
+                }
+            }
+        }
+    }
+
+    /// The `has_edge`-checked assembly [`assemble`] replaced, kept as the
+    /// oracle.
+    fn reference_assemble(n: usize, picks: &[Vec<(f64, usize)>]) -> WeightedGraph {
+        let mut graph = WeightedGraph::new(n);
+        for (u, row) in picks.iter().enumerate() {
+            for &(c, v) in row {
+                if !graph.has_edge(u, v) {
+                    graph.add_edge(u, v, c);
+                }
+            }
+        }
+        graph
+    }
+
+    #[test]
+    fn assembly_matches_has_edge_assembly_including_adjacency_order() {
+        let mut next = xorshift(0x1234_5678_9abc_def1);
+        for case in 0..300 {
+            let n = 1 + (next() % 80) as usize;
+            let k = 1 + (next() % 12) as usize;
+            // Random distinct non-self picks, biased toward low ids so
+            // mutual picks (the duplicates assembly must drop) are common.
+            let picks: Vec<Vec<(f64, usize)>> = (0..n)
+                .map(|u| {
+                    let mut row: Vec<(f64, usize)> = Vec::new();
+                    for _ in 0..k {
+                        let span = if next() & 1 == 0 { n.min(12) } else { n };
+                        let v = (next() as usize) % span;
+                        if v != u && row.iter().all(|&(_, w)| w != v) {
+                            let weight = (next() % 2001) as f64 / 1000.0 - 1.0;
+                            row.push((weight, v));
+                        }
+                    }
+                    row
+                })
+                .collect();
+            let chunks: Vec<ChunkPicks> = picks
+                .chunks(SELECT_CHUNK)
+                .map(|rows| {
+                    let mut chunk = ChunkPicks::with_capacity(rows.len(), k);
+                    for row in rows {
+                        chunk.picks.extend_from_slice(row);
+                        chunk.bounds.push(chunk.picks.len());
+                    }
+                    chunk
+                })
+                .collect();
+            let got = assemble(n, &chunks);
+            let want = reference_assemble(n, &picks);
+            assert!(got == want, "case {case}: n={n} k={k}");
+            assert_eq!(got.n_edges(), want.n_edges(), "case {case}");
         }
     }
 

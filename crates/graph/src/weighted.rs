@@ -25,6 +25,29 @@ impl WeightedGraph {
         }
     }
 
+    /// Empty graph with one vertex per entry of `degrees`, each adjacency
+    /// list sized for that vertex's final degree, so a builder that knows
+    /// every degree up front fills the lists without regrowing them.
+    pub(crate) fn with_degrees(degrees: &[usize]) -> Self {
+        Self {
+            n: degrees.len(),
+            adj: degrees.iter().map(|&d| Vec::with_capacity(d)).collect(),
+            n_edges: 0,
+        }
+    }
+
+    /// [`Self::add_edge`] for a builder that has already ruled out
+    /// self-loops and duplicates: the checks run in debug builds only.
+    pub(crate) fn push_edge_unchecked(&mut self, u: usize, v: usize, weight: f64) {
+        debug_assert!(
+            u != v && !self.has_edge(u, v),
+            "self-loop or duplicate edge ({u},{v})"
+        );
+        self.adj[u].push((v, weight));
+        self.adj[v].push((u, weight));
+        self.n_edges += 1;
+    }
+
     /// Number of vertices.
     pub fn n_vertices(&self) -> usize {
         self.n

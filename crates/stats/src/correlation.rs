@@ -302,6 +302,7 @@ mod tests {
 
     #[test]
     fn scalar_matrix_matches_pairwise_calls() {
+        let _kernel = crate::tiled::kernel_test_lock();
         let n = 7;
         let w = 24;
         let rows: Vec<f64> = (0..n)
@@ -377,6 +378,7 @@ mod tests {
 
     #[test]
     fn matrix_is_identical_across_thread_counts() {
+        let _kernel = crate::tiled::kernel_test_lock();
         let n = 40;
         let w = 32;
         let rows: Vec<f64> = (0..n)
@@ -454,6 +456,7 @@ mod tests {
     /// 257 — with constant and near-constant sensors included, at ≤ 1e-12.
     #[test]
     fn tiled_matrix_matches_pearson_oracle_at_tile_edges() {
+        let _kernel = crate::tiled::kernel_test_lock();
         let w = 48; // not a multiple of the 16-element dot chunk either
         for n in [1usize, 2, 31, 33, 255, 257] {
             let (raw, normed) = edge_case_rows(n, w);
@@ -477,6 +480,7 @@ mod tests {
     /// thread-count invariant at non-tile-multiple sizes.
     #[test]
     fn kernels_agree_and_are_thread_invariant_at_tile_edges() {
+        let _kernel = crate::tiled::kernel_test_lock();
         let w = 33;
         for n in [31usize, 33] {
             let (_, normed) = edge_case_rows(n, w);
@@ -541,6 +545,7 @@ mod tests {
             archetypes in proptest::collection::vec(0usize..3, 1..40),
             w in 4usize..70,
         ) {
+            let _kernel = crate::tiled::kernel_test_lock();
             let n = archetypes.len();
             let raw: Vec<Vec<f64>> = archetypes
                 .iter()

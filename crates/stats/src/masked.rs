@@ -613,6 +613,44 @@ mod tests {
     }
 
     #[test]
+    fn matrix_agrees_with_pairwise() {
+        // Every matrix cell against the pairwise view, after a slide, with
+        // holes, an all-missing slot, a constant slot and a single-sample
+        // slot.
+        let (n, w, s) = (70, 24, 5);
+        let mut data = series(n, w + s);
+        data[3] = vec![f64::NAN; w + s];
+        data[40] = vec![5.0; w + s];
+        data[66] = (0..w + s)
+            .map(|t| if t == w { 2.0 } else { f64::NAN })
+            .collect();
+        let cols = |range: std::ops::Range<usize>| -> Vec<f64> {
+            data.iter()
+                .flat_map(|r| r[range.clone()].iter().copied())
+                .collect()
+        };
+        let mut cov = MaskedSlidingCov::new(n, w);
+        cov.rebuild(&cols(0..w));
+        cov.slide(&cols(w..w + s), &cols(0..s), s);
+        // A reused buffer with stale contents, of the wrong size and then
+        // of the right size, must not leak into the result.
+        let mut matrix = vec![f64::NAN; 3 * n * n];
+        cov.correlation_matrix_into(&mut matrix);
+        matrix.iter_mut().for_each(|c| *c = f64::NAN);
+        cov.correlation_matrix_into(&mut matrix);
+        assert_eq!(matrix.len(), n * n);
+        for i in 0..n {
+            for j in 0..n {
+                assert_eq!(
+                    matrix[i * n + j].to_bits(),
+                    cov.correlation(i, j).to_bits(),
+                    "cell ({i},{j})"
+                );
+            }
+        }
+    }
+
+    #[test]
     fn slide_tracks_moving_window_with_holes() {
         let (n, w, s, total) = (5, 24, 6, 180);
         let data = series(n, total);
@@ -664,6 +702,7 @@ mod tests {
 
     #[test]
     fn thread_counts_are_bit_identical() {
+        let _kernel = crate::tiled::kernel_test_lock();
         let (n, w, s) = (40, 32, 8);
         let make = |threads: usize| {
             cad_runtime::with_thread_override(threads, || {
@@ -702,6 +741,7 @@ mod tests {
 
     #[test]
     fn kernels_agree() {
+        let _kernel = crate::tiled::kernel_test_lock();
         let (n, w, s) = (33, 40, 7);
         let total = w + 4 * s;
         let data = series(n, total);

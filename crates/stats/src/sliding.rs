@@ -437,7 +437,8 @@ mod tests {
             .collect();
         let mut cov = SlidingCov::new(n, w);
         cov.rebuild(&flatten(&window));
-        let mut matrix = Vec::new();
+        // A reused buffer with stale contents must not leak into the result.
+        let mut matrix = vec![f64::NAN; n * n];
         cov.correlation_matrix_into(&mut matrix);
         for i in 0..n {
             for j in 0..n {
@@ -453,6 +454,7 @@ mod tests {
 
     #[test]
     fn slide_is_identical_across_thread_counts() {
+        let _kernel = crate::tiled::kernel_test_lock();
         let n = 40;
         let w = 32;
         let s = 8;
@@ -498,6 +500,7 @@ mod tests {
 
     #[test]
     fn kernels_agree_across_rebuild_and_slides() {
+        let _kernel = crate::tiled::kernel_test_lock();
         // The tiled SIMD kernel and the seed scalar arithmetic must track
         // each other through a rebuild and a long slide run — including at
         // a sensor count straddling the 32-row tile boundary — and the

@@ -120,6 +120,16 @@ pub fn with_kernel_override<T>(kernel: Kernel, f: impl FnOnce() -> T) -> T {
     result
 }
 
+/// Serialises the unit tests that pin the kernel, or that compare results
+/// of calls which read it: the override is process-global and the test
+/// harness runs tests on parallel threads. Each such test takes the guard
+/// once, outside every override, so nested overrides never lock twice.
+#[cfg(test)]
+pub(crate) fn kernel_test_lock() -> std::sync::MutexGuard<'static, ()> {
+    static LOCK: std::sync::Mutex<()> = std::sync::Mutex::new(());
+    LOCK.lock().unwrap_or_else(|poisoned| poisoned.into_inner())
+}
+
 /// Whether the explicit AVX dot path is usable on this machine (cached).
 #[cfg(target_arch = "x86_64")]
 fn avx_available() -> bool {
@@ -1032,6 +1042,7 @@ mod tests {
 
     #[test]
     fn kernel_override_nests_and_restores() {
+        let _kernel = crate::tiled::kernel_test_lock();
         let ambient = active_kernel();
         with_kernel_override(Kernel::Scalar, || {
             assert_eq!(active_kernel(), Kernel::Scalar);

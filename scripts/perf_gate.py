@@ -19,6 +19,10 @@ Default (pipeline) mode compares a freshly produced
   doubles it.
 * ``incremental_rounds_per_sec`` — end-to-end throughput of the
   incremental pass.
+* ``phases_serial['tsg.select'].secs`` and
+  ``phases_incremental['tsg.select'].secs`` — top-k neighbour selection
+  and TSG assembly under each engine; a revert to the per-cell k-slot
+  insertion scan with ``has_edge``-checked assembly trips both.
 
 ``--serve`` mode compares ``results/BENCH_serve.json`` (written by the
 loadgen at the reduced CI profile) against the committed
@@ -92,6 +96,18 @@ GATES = {
                 "incremental_rounds_per_sec",
                 lambda r: top_level(r, "incremental_rounds_per_sec"),
                 True,
+            ),
+            # Top-k selection (bar scan, candidate sort, degree-sized
+            # assembly) under both engines.
+            (
+                "phases_serial['tsg.select'].secs",
+                lambda r: phase_secs(r, "tsg.select"),
+                False,
+            ),
+            (
+                "phases_incremental['tsg.select'].secs",
+                lambda r: phase_secs(r, "tsg.select", "phases_incremental"),
+                False,
             ),
         ],
     },
