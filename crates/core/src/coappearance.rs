@@ -5,13 +5,13 @@
 //! were in `v`'s community last round *and* are in `v`'s community this
 //! round. Grouping vertices by the joint key (previous label, current
 //! label) computes all `S_r(v)` in O(n): every vertex in the same joint
-//! cell shares the same count, namely `|cell| − 1`.
+//! cell shares the same count, namely `|cell| − 1`. Labels are dense
+//! (`0..n`), so the cells are counted in reused vectors: vertices are
+//! bucketed by previous label, then each bucket counts its current labels.
 //!
 //! The ratio `RC_{v,r} = (Σ_{i≤r} S_i(v)) / (r·(n−1))` (Definition 6) is
 //! maintained from a per-vertex cumulative sum. Vertices with
 //! `RC_{v,r} < θ` form the outlier set `O_r` (Definition 7).
-
-use std::collections::HashMap;
 
 use cad_graph::Partition;
 
@@ -27,8 +27,9 @@ use cad_graph::Partition;
 #[derive(Debug, Clone)]
 pub struct CoappearanceTracker {
     n_sensors: usize,
-    /// Partition of the previous round (`None` before the first round).
-    prev: Option<Partition>,
+    /// Dense labels of the previous round's partition (`None` before the
+    /// first round).
+    prev: Option<Vec<usize>>,
     /// Per-vertex running `Σ S_i(v)` over the active window.
     cumulative: Vec<f64>,
     /// Number of rounds folded in so far (the `r` of Definition 6).
@@ -37,6 +38,8 @@ pub struct CoappearanceTracker {
     horizon: Option<usize>,
     /// Ring buffer of the last `H` rounds' S-vectors (only with a horizon).
     history: std::collections::VecDeque<Vec<usize>>,
+    /// Joint-cell counting scratch, reused every round.
+    cells: JointCells,
 }
 
 impl CoappearanceTracker {
@@ -59,6 +62,7 @@ impl CoappearanceTracker {
             rounds: 0,
             horizon,
             history: std::collections::VecDeque::new(),
+            cells: JointCells::default(),
         }
     }
 
@@ -77,17 +81,8 @@ impl CoappearanceTracker {
     /// matching the intuition that round 1 carries no change evidence.
     pub fn push(&mut self, partition: &Partition) -> Vec<usize> {
         assert_eq!(partition.len(), self.n_sensors, "partition size mismatch");
-        let prev = self.prev.take().unwrap_or_else(|| partition.clone());
-        // Joint cell sizes: (prev label, current label) → count.
-        let mut cells: HashMap<(usize, usize), usize> = HashMap::new();
-        for v in 0..self.n_sensors {
-            *cells
-                .entry((prev.community_of(v), partition.community_of(v)))
-                .or_insert(0) += 1;
-        }
-        let s: Vec<usize> = (0..self.n_sensors)
-            .map(|v| cells[&(prev.community_of(v), partition.community_of(v))] - 1)
-            .collect();
+        let cur = partition.labels();
+        let s = self.cells.peers(self.prev.as_deref().unwrap_or(cur), cur);
         for (c, &sv) in self.cumulative.iter_mut().zip(&s) {
             *c += sv as f64;
         }
@@ -101,7 +96,10 @@ impl CoappearanceTracker {
                 }
             }
         }
-        self.prev = Some(partition.clone());
+        match &mut self.prev {
+            Some(prev) => prev.copy_from_slice(cur),
+            None => self.prev = Some(cur.to_vec()),
+        }
         s
     }
 
@@ -132,7 +130,7 @@ impl CoappearanceTracker {
         Vec<Vec<usize>>,
     ) {
         (
-            self.prev.as_ref().map(|p| p.labels().to_vec()),
+            self.prev.clone(),
             self.cumulative.clone(),
             self.rounds,
             self.horizon,
@@ -158,11 +156,12 @@ impl CoappearanceTracker {
         }
         Self {
             n_sensors,
-            prev: prev_labels.map(|l| Partition::from_labels(&l)),
+            prev: prev_labels.map(|l| Partition::from_labels(&l).labels().to_vec()),
             cumulative,
             rounds,
             horizon,
             history: history.into(),
+            cells: JointCells::default(),
         }
     }
 
@@ -187,22 +186,22 @@ impl CoappearanceTracker {
             for row in &mut self.history {
                 row.resize(new_n, 0);
             }
-            if let Some(prev) = self.prev.take() {
-                let mut labels = prev.labels().to_vec();
+            if let Some(labels) = &mut self.prev {
                 let mut fresh = labels.iter().copied().max().unwrap_or(0);
                 for _ in self.n_sensors..new_n {
                     fresh += 1;
                     labels.push(fresh);
                 }
-                self.prev = Some(Partition::from_labels(&labels));
+                *labels = Partition::from_labels(labels).labels().to_vec();
             }
         } else {
             self.cumulative.truncate(new_n);
             for row in &mut self.history {
                 row.truncate(new_n);
             }
-            if let Some(prev) = self.prev.take() {
-                self.prev = Some(Partition::from_labels(&prev.labels()[..new_n]));
+            if let Some(labels) = &mut self.prev {
+                labels.truncate(new_n);
+                *labels = Partition::from_labels(labels).labels().to_vec();
             }
         }
         self.n_sensors = new_n;
@@ -217,6 +216,59 @@ impl CoappearanceTracker {
             .filter(|&(_, &rc)| rc < theta)
             .map(|(v, _)| v)
             .collect()
+    }
+}
+
+/// Buffers for counting the joint (previous, current) label cells: bucket
+/// starts by previous label, the vertices in bucket order, and counts per
+/// current label.
+#[derive(Debug, Clone, Default)]
+struct JointCells {
+    bucket_start: Vec<usize>,
+    by_prev: Vec<usize>,
+    cell: Vec<usize>,
+}
+
+impl JointCells {
+    /// `|cell(v)| − 1` per vertex, where `cell(v)` is the set of vertices
+    /// sharing both `v`'s previous and current label. Both labelings are
+    /// dense (`< n`).
+    fn peers(&mut self, prev: &[usize], cur: &[usize]) -> Vec<usize> {
+        let n = cur.len();
+        let starts = &mut self.bucket_start;
+        starts.clear();
+        starts.resize(n + 1, 0);
+        for &p in prev {
+            starts[p + 1] += 1;
+        }
+        for p in 0..n {
+            starts[p + 1] += starts[p];
+        }
+        self.by_prev.clear();
+        self.by_prev.resize(n, 0);
+        for (v, &p) in prev.iter().enumerate() {
+            self.by_prev[starts[p]] = v;
+            starts[p] += 1;
+        }
+        // `starts[p]` is now the end of bucket p, the start of bucket p + 1.
+        self.cell.clear();
+        self.cell.resize(n, 0);
+        let mut s = vec![0; n];
+        let mut begin = 0;
+        for &end in &starts[..n] {
+            let bucket = &self.by_prev[begin..end];
+            for &v in bucket {
+                self.cell[cur[v]] += 1;
+            }
+            for &v in bucket {
+                s[v] = self.cell[cur[v]] - 1;
+            }
+            for &v in bucket {
+                self.cell[cur[v]] = 0;
+            }
+            begin = end;
+        }
+        s
     }
 }
 
@@ -422,6 +474,39 @@ mod tests {
         // RC = 0 < θ for all — by convention everything is an outlier
         // pre-round, but detectors never query before pushing.
         assert_eq!(t.ratios(), vec![0.0; 3]);
+    }
+
+    #[test]
+    fn co_appearance_matches_its_definition() {
+        // S_r(v) = |{u ≠ v : same previous and same current community}|,
+        // over a run of pseudo-random partitions of several widths.
+        let mut state = 0x5eed_u64;
+        let mut next = |bound: usize| {
+            state = state
+                .wrapping_mul(6364136223846793005)
+                .wrapping_add(1442695040888963407);
+            (state >> 33) as usize % bound
+        };
+        for n in [2, 3, 9, 40, 130] {
+            let mut t = CoappearanceTracker::new(n);
+            let mut prev: Option<Vec<usize>> = None;
+            for _ in 0..12 {
+                let k = 1 + next(n);
+                let raw: Vec<usize> = (0..n).map(|_| next(k)).collect();
+                let p = part(&raw);
+                let cur = p.labels().to_vec();
+                let before = prev.clone().unwrap_or_else(|| cur.clone());
+                let want: Vec<usize> = (0..n)
+                    .map(|v| {
+                        (0..n)
+                            .filter(|&u| u != v && before[u] == before[v] && cur[u] == cur[v])
+                            .count()
+                    })
+                    .collect();
+                assert_eq!(t.push(&p), want, "n = {n}");
+                prev = Some(cur);
+            }
+        }
     }
 
     proptest! {

@@ -8,8 +8,9 @@
 //! streaming API (§IV-F: "when a new round of data arrives, repeat lines
 //! 6–11").
 
-use cad_graph::louvain;
+use cad_graph::louvain::LouvainWorkspace;
 use cad_mts::{Mts, WindowSource};
+use cad_runtime::Timer;
 use cad_stats::RunningStats;
 
 use crate::coappearance::{outlier_variations, CoappearanceTracker};
@@ -40,6 +41,8 @@ pub struct CadDetector {
     config: CadConfig,
     n_sensors: usize,
     engine: Engine,
+    /// Louvain's buffers, reused every round.
+    louvain: LouvainWorkspace,
     tracker: CoappearanceTracker,
     /// Running statistics over the observed `n_r` series (the `N` of
     /// Algorithm 2).
@@ -66,6 +69,7 @@ impl CadDetector {
             config,
             n_sensors,
             engine,
+            louvain: LouvainWorkspace::new(),
             tracker,
             stats: RunningStats::new(),
             prev_outliers: Vec::new(),
@@ -117,6 +121,7 @@ impl CadDetector {
             config,
             n_sensors,
             engine,
+            louvain: LouvainWorkspace::new(),
             tracker,
             stats,
             prev_outliers,
@@ -235,7 +240,11 @@ impl CadDetector {
     /// `(O_r, n_r)`.
     fn outlier_detection(&mut self, window: &dyn WindowSource) -> (Vec<usize>, usize) {
         let tsg = self.engine.build_tsg(window);
-        let partition = louvain(&tsg, self.config.louvain);
+        let partition = {
+            let _t = Timer::start("graph.louvain");
+            self.louvain.run(&tsg, self.config.louvain)
+        };
+        let _t = Timer::start("core.coappear");
         self.tracker.push(&partition);
         let mut outliers = self.tracker.outliers(self.config.theta);
         // Churn quarantine: slots still warming up (their RC denominator
@@ -302,7 +311,10 @@ impl CadDetector {
         assert_eq!(window.n_sensors(), self.n_sensors, "sensor count mismatch");
         assert_eq!(window.w(), self.config.window.w, "window length mismatch");
         let (outliers, n_r) = self.outlier_detection(window);
-        let rc = self.tracker.ratios();
+        let rc = {
+            let _t = Timer::start("core.coappear");
+            self.tracker.ratios()
+        };
         let crossed = self.stats.count() >= 2 && self.stats.is_outlier(n_r as f64, self.config.eta);
         crate::metrics::observe_round(n_r as u64, crossed, !suppress && crossed);
         // The verdict is computed against the pre-update μ/σ; snapshot them

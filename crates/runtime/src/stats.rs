@@ -20,13 +20,18 @@ use cad_obs::Histogram;
 /// The obs histogram family every phase records into.
 pub const PHASE_HIST_NAME: &str = "cad_phase_duration_nanos";
 
-/// Every phase name the workspace records, in sorted order. New `Timer`
-/// call sites should be added here so bench JSON emits their zero entry
-/// from the first run.
+/// Every phase name the workspace records, in sorted order. Every
+/// `Timer::start` call site's name must be listed (a tier-1 test scans the
+/// crates for them), so bench JSON emits its zero entry from the first run.
 pub const KNOWN_PHASES: &[&str] = &[
     "bench.matrix",
+    "core.coappear",
     "engine.exact",
     "engine.incremental",
+    "graph.louvain",
+    "masked.matrix",
+    "masked.rebuild",
+    "masked.slide",
     "serve.persist",
     "serve.pump",
     "serve.shard",
@@ -34,6 +39,7 @@ pub const KNOWN_PHASES: &[&str] = &[
     "sliding.rebuild",
     "sliding.slide",
     "tsg.correlation",
+    "tsg.correlation.tiled",
     "tsg.normalize",
     "tsg.select",
 ];

@@ -9,6 +9,7 @@
 use cad_runtime::Timer;
 
 use crate::descriptive::mean;
+use crate::finish;
 use crate::tiled::{active_kernel, gram_upper_tiled, Kernel};
 
 /// Pearson correlation coefficient of two equal-length slices.
@@ -161,6 +162,13 @@ pub fn pearson_matrix_normalized(rows: &[f64], n: usize, w: usize) -> Vec<f64> {
 /// Tiled-kernel matrix path: one `Z·Zᵀ` Gram over the contiguous
 /// z-normalised buffer, tile-parallel, then scale/clamp/mirror.
 fn pearson_matrix_tiled(rows: &[f64], n: usize, w: usize) -> Vec<f64> {
+    pearson_matrix_tiled_with(rows, n, w, finish::avx())
+}
+
+/// [`pearson_matrix_tiled`] with the finish body chosen by the caller:
+/// each upper row (diagonal first) is scaled and clamped from the packed
+/// Gram, four cells per AVX register when `avx`, then mirrored.
+fn pearson_matrix_tiled_with(rows: &[f64], n: usize, w: usize, avx: bool) -> Vec<f64> {
     let mut matrix = vec![0.0; n * n];
     if n == 0 {
         return matrix;
@@ -173,37 +181,47 @@ fn pearson_matrix_tiled(rows: &[f64], n: usize, w: usize) -> Vec<f64> {
     }
     let packed = gram_upper_tiled(rows, n, w, true);
     let w_f = w as f64;
-    // Scale/clamp into the upper triangle first — contiguous row writes —
-    // then mirror with a block transpose. A naive `matrix[j*n+i] = c` in
-    // the scale loop touches a fresh cache line per store (~n²/2 strided
-    // writes); 64×64 blocks keep both the read rows and the write columns
-    // resident, which is worth ~10% of the whole correlation phase at
-    // n = 256.
-    let mut idx = 0;
+    let mut start = 0;
     for i in 0..n {
+        let src = &packed[start..start + n - i];
+        start += n - i;
         let row = &mut matrix[i * n + i..(i + 1) * n];
-        for c in row.iter_mut() {
-            *c = (packed[idx] / w_f).clamp(-1.0, 1.0);
-            idx += 1;
+        match avx {
+            // SAFETY: the caller checked AVX support.
+            #[cfg(target_arch = "x86_64")]
+            true => unsafe { scaled_row_avx(row, src, w_f) },
+            _ => row
+                .iter_mut()
+                .zip(src)
+                .for_each(|(c, &dot)| *c = scaled_cell(dot, w_f)),
         }
     }
-    const MIRROR_BLOCK: usize = 64;
-    let mut ib = 0;
-    while ib < n {
-        let i1 = (ib + MIRROR_BLOCK).min(n);
-        let mut jb = ib;
-        while jb < n {
-            let j1 = (jb + MIRROR_BLOCK).min(n);
-            for i in ib..i1 {
-                for j in jb.max(i + 1)..j1 {
-                    matrix[j * n + i] = matrix[i * n + j];
-                }
-            }
-            jb = j1;
-        }
-        ib = i1;
-    }
+    finish::mirror_lower(&mut matrix, n);
     matrix
+}
+
+/// One exact-path cell: the normalised rows' dot over `w`, clamped.
+#[inline]
+fn scaled_cell(dot: f64, w: f64) -> f64 {
+    (dot / w).clamp(-1.0, 1.0)
+}
+
+/// [`scaled_cell`] across a row, four lanes per register.
+///
+/// # Safety
+/// Caller must ensure the CPU supports AVX.
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx")]
+unsafe fn scaled_row_avx(row: &mut [f64], src: &[f64], w: f64) {
+    use core::arch::x86_64::*;
+    assert_eq!(row.len(), src.len());
+    let wv = _mm256_set1_pd(w);
+    finish::fill_lanes(
+        row,
+        // SAFETY: `fill_lanes` passes k + 4 ≤ row.len() = src.len().
+        |k| finish::clamp_unit(_mm256_div_pd(_mm256_loadu_pd(src.as_ptr().add(k)), wv)),
+        |k| scaled_cell(src[k], w),
+    );
 }
 
 /// Seed-arithmetic matrix path (`CAD_KERNEL=scalar`): sequential per-pair
@@ -374,6 +392,49 @@ mod tests {
         assert_eq!(m[0], 0.0, "all-zero row self-correlation");
         assert_eq!(m[1], 0.0);
         assert!((m[n + 2] - 1.0).abs() < 1e-9, "rows 1 and 2 identical");
+    }
+
+    #[test]
+    fn tiled_finish_is_bit_equal_per_cell() {
+        // Both finish bodies against `scaled_cell` of the packed Gram, with
+        // a zero row, a NaN row and over-scaled rows whose ratios clamp.
+        let w = 24;
+        for n in crate::finish::TEST_SIZES {
+            let rows: Vec<f64> = (0..n)
+                .flat_map(|i| {
+                    let row = znormed(
+                        &(0..w)
+                            .map(|t| ((t * 17 + i * 31) % 23) as f64 + (t as f64 * 0.11).sin())
+                            .collect::<Vec<f64>>(),
+                    );
+                    row.into_iter().map(move |x| match i % 9 {
+                        2 => 0.0,
+                        4 => f64::NAN,
+                        6 | 7 => 3.0 * x,
+                        _ => x,
+                    })
+                })
+                .collect();
+            let packed = gram_upper_tiled(&rows, n, w, true);
+            let at = |i: usize, j: usize| i * (2 * n - i + 1) / 2 + (j - i);
+            let mut bodies = vec![false];
+            if crate::finish::avx() {
+                bodies.push(true);
+            }
+            for avx in bodies {
+                let m = pearson_matrix_tiled_with(&rows, n, w, avx);
+                for i in 0..n {
+                    for j in 0..n {
+                        let want = scaled_cell(packed[at(i.min(j), i.max(j))], w as f64);
+                        assert_eq!(
+                            m[i * n + j].to_bits(),
+                            want.to_bits(),
+                            "n={n} avx={avx} cell ({i},{j})"
+                        );
+                    }
+                }
+            }
+        }
     }
 
     #[test]

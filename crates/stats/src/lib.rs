@@ -14,6 +14,7 @@
 pub mod correlation;
 pub mod descriptive;
 pub mod ecdf;
+mod finish;
 pub mod masked;
 pub mod periodicity;
 pub mod rank;

@@ -52,6 +52,7 @@
 
 use cad_runtime::Timer;
 
+use crate::finish;
 use crate::tiled::{
     active_kernel, dot8, fold_delta_upper, gram_upper_tiled, pair_upper_tiled, Kernel,
 };
@@ -430,41 +431,51 @@ impl MaskedSlidingCov {
             return if self.is_flat_own(i) { 0.0 } else { 1.0 };
         }
         let (lo, hi) = (i.min(j), i.max(j));
-        let p = pair_index(self.n, lo, hi);
-        let c = self.pc[p];
-        if c < 2.0 {
-            return 0.0;
-        }
-        let vi = (self.pqi[p] - self.psi[p] * self.psi[p] / c).max(0.0);
-        let vj = (self.pqj[p] - self.psj[p] * self.psj[p] / c).max(0.0);
-        if (vi / c).sqrt() <= f64::EPSILON || (vj / c).sqrt() <= f64::EPSILON {
-            return 0.0;
-        }
-        let cov = self.psxy[p] - self.psi[p] * self.psj[p] / c;
-        let denom = (vi * vj).sqrt();
-        if denom <= f64::EPSILON {
-            0.0
-        } else {
-            (cov / denom).clamp(-1.0, 1.0)
+        self.pair_row(pair_index(self.n, lo, hi), 1).cell(0)
+    }
+
+    /// The packed sums of `len` pairs starting at offset `p`.
+    fn pair_row(&self, p: usize, len: usize) -> PairRow<'_> {
+        PairRow {
+            pc: &self.pc[p..p + len],
+            psi: &self.psi[p..p + len],
+            psj: &self.psj[p..p + len],
+            pqi: &self.pqi[p..p + len],
+            pqj: &self.pqj[p..p + len],
+            psxy: &self.psxy[p..p + len],
         }
     }
 
     /// Fill `matrix` with the full symmetric `n × n` correlation matrix
     /// (diagonal 1.0, or 0.0 for a constant/under-observed slot).
     pub fn correlation_matrix_into(&self, matrix: &mut Vec<f64>) {
+        self.correlation_matrix_with(matrix, finish::avx())
+    }
+
+    /// [`Self::correlation_matrix_into`] with the finish body chosen by the
+    /// caller: each upper row is written four cells per AVX register when
+    /// `avx`, cell by cell otherwise, then mirrored.
+    fn correlation_matrix_with(&self, matrix: &mut Vec<f64>, avx: bool) {
         assert!(self.primed, "correlation matrix before rebuild");
         let _t = Timer::start("masked.matrix");
         let n = self.n;
-        matrix.clear();
-        matrix.resize(n * n, 0.0);
+        let matrix = finish::sized(matrix, n);
         for i in 0..n {
-            matrix[i * n + i] = if self.is_flat_own(i) { 0.0 } else { 1.0 };
-            for j in (i + 1)..n {
-                let c = self.correlation(i, j);
-                matrix[i * n + j] = c;
-                matrix[j * n + i] = c;
+            let row = &mut matrix[i * n + i..(i + 1) * n];
+            let (diag, upper) = row.split_first_mut().expect("row holds its diagonal");
+            *diag = if self.is_flat_own(i) { 0.0 } else { 1.0 };
+            let op = self.pair_row(row_start(n, i), upper.len());
+            match avx {
+                // SAFETY: the caller checked AVX support.
+                #[cfg(target_arch = "x86_64")]
+                true => unsafe { op.fill_avx(upper) },
+                _ => upper
+                    .iter_mut()
+                    .enumerate()
+                    .for_each(|(k, c)| *c = op.cell(k)),
             }
         }
+        finish::mirror_lower(matrix, n);
     }
 
     /// Grow or shrink the slot set in place. Slots `< min(n, new_n)` keep
@@ -556,6 +567,80 @@ impl MaskedSlidingCov {
     }
 }
 
+/// A run of consecutive packed pairs — one upper row of the finish, or a
+/// single pair — with cell `k` read from offset `k` of every sum.
+struct PairRow<'a> {
+    pc: &'a [f64],
+    psi: &'a [f64],
+    psj: &'a [f64],
+    pqi: &'a [f64],
+    pqj: &'a [f64],
+    psxy: &'a [f64],
+}
+
+impl PairRow<'_> {
+    /// Cell `k`: 0.0 under two common samples or with a constant side,
+    /// else the clamped pairwise-deletion Pearson ratio.
+    #[inline]
+    fn cell(&self, k: usize) -> f64 {
+        let c = self.pc[k];
+        if c < 2.0 {
+            return 0.0;
+        }
+        let (si, sj) = (self.psi[k], self.psj[k]);
+        let vi = (self.pqi[k] - si * si / c).max(0.0);
+        let vj = (self.pqj[k] - sj * sj / c).max(0.0);
+        if (vi / c).sqrt() <= f64::EPSILON || (vj / c).sqrt() <= f64::EPSILON {
+            return 0.0;
+        }
+        let cov = self.psxy[k] - si * sj / c;
+        let denom = (vi * vj).sqrt();
+        if denom <= f64::EPSILON {
+            0.0
+        } else {
+            (cov / denom).clamp(-1.0, 1.0)
+        }
+    }
+
+    /// Every cell of the row, [`Self::cell`]'s arithmetic four lanes per
+    /// register: the four screens become one mask over the computed ratio.
+    ///
+    /// # Safety
+    /// Caller must ensure the CPU supports AVX.
+    #[cfg(target_arch = "x86_64")]
+    #[target_feature(enable = "avx")]
+    unsafe fn fill_avx(&self, upper: &mut [f64]) {
+        use core::arch::x86_64::*;
+        let len = upper.len();
+        for sums in [self.pc, self.psi, self.psj, self.pqi, self.pqj, self.psxy] {
+            assert_eq!(sums.len(), len, "pair sums cover the row");
+        }
+        // SAFETY (every load): `fill_lanes` passes k + 4 ≤ len.
+        let at = |v: &[f64], k: usize| _mm256_loadu_pd(v.as_ptr().add(k));
+        let two = _mm256_set1_pd(2.0);
+        finish::fill_lanes(
+            upper,
+            |k| {
+                let c = at(self.pc, k);
+                let (si, sj) = (at(self.psi, k), at(self.psj, k));
+                let var = |q: __m256d, s: __m256d| {
+                    finish::max_zero(_mm256_sub_pd(q, _mm256_div_pd(_mm256_mul_pd(s, s), c)))
+                };
+                let (vi, vj) = (var(at(self.pqi, k), si), var(at(self.pqj, k), sj));
+                let flat = |v: __m256d| finish::le_eps(_mm256_sqrt_pd(_mm256_div_pd(v, c)));
+                let cov = _mm256_sub_pd(at(self.psxy, k), _mm256_div_pd(_mm256_mul_pd(si, sj), c));
+                let denom = _mm256_sqrt_pd(_mm256_mul_pd(vi, vj));
+                let zero = _mm256_or_pd(
+                    _mm256_or_pd(_mm256_cmp_pd(c, two, _CMP_LT_OQ), finish::le_eps(denom)),
+                    _mm256_or_pd(flat(vi), flat(vj)),
+                );
+                _mm256_andnot_pd(zero, finish::clamp_unit(_mm256_div_pd(cov, denom)))
+            },
+            |k| self.cell(k),
+        );
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -614,38 +699,62 @@ mod tests {
 
     #[test]
     fn matrix_agrees_with_pairwise() {
-        // Every matrix cell against the pairwise view, after a slide, with
-        // holes, an all-missing slot, a constant slot and a single-sample
-        // slot.
-        let (n, w, s) = (70, 24, 5);
-        let mut data = series(n, w + s);
-        data[3] = vec![f64::NAN; w + s];
-        data[40] = vec![5.0; w + s];
-        data[66] = (0..w + s)
-            .map(|t| if t == w { 2.0 } else { f64::NAN })
-            .collect();
-        let cols = |range: std::ops::Range<usize>| -> Vec<f64> {
-            data.iter()
-                .flat_map(|r| r[range.clone()].iter().copied())
-                .collect()
-        };
-        let mut cov = MaskedSlidingCov::new(n, w);
-        cov.rebuild(&cols(0..w));
-        cov.slide(&cols(w..w + s), &cols(0..s), s);
-        // A reused buffer with stale contents, of the wrong size and then
-        // of the right size, must not leak into the result.
-        let mut matrix = vec![f64::NAN; 3 * n * n];
-        cov.correlation_matrix_into(&mut matrix);
-        matrix.iter_mut().for_each(|c| *c = f64::NAN);
-        cov.correlation_matrix_into(&mut matrix);
-        assert_eq!(matrix.len(), n * n);
-        for i in 0..n {
-            for j in 0..n {
-                assert_eq!(
-                    matrix[i * n + j].to_bits(),
-                    cov.correlation(i, j).to_bits(),
-                    "cell ({i},{j})"
-                );
+        // Every cell of both finish bodies, bit for bit, against the
+        // pairwise view, after a slide, with holes, an all-missing slot, a
+        // constant slot, a single-sample slot, two slots that never share
+        // a sample, and a stale buffer larger than n².
+        let (w, s) = (24, 5);
+        for n in crate::finish::TEST_SIZES {
+            let mut data = series(n, w + s);
+            for (i, row) in data.iter_mut().enumerate() {
+                match i % 13 {
+                    3 => row.iter_mut().for_each(|x| *x = f64::NAN),
+                    5 => row.iter_mut().for_each(|x| *x = 5.0),
+                    // One valid sample, in the incoming columns.
+                    6 => {
+                        row.iter_mut().for_each(|x| *x = f64::NAN);
+                        row[w] = 2.0;
+                    }
+                    // Valid on even and on odd samples only: no common ones.
+                    8 | 9 => {
+                        for (t, x) in row.iter_mut().enumerate() {
+                            if t % 2 == i % 2 {
+                                *x = f64::NAN;
+                            }
+                        }
+                    }
+                    _ => {}
+                }
+            }
+            let cols = |range: std::ops::Range<usize>| -> Vec<f64> {
+                data.iter()
+                    .flat_map(|r| r[range.clone()].iter().copied())
+                    .collect()
+            };
+            let mut cov = MaskedSlidingCov::new(n, w);
+            cov.rebuild(&cols(0..w));
+            cov.slide(&cols(w..w + s), &cols(0..s), s);
+            let mut bodies = vec![false];
+            if crate::finish::avx() {
+                bodies.push(true);
+            }
+            for avx in bodies {
+                // Stale NaN buffers: larger than n², then exactly n².
+                let mut matrix = vec![f64::NAN; 3 * n * n + 5];
+                for _ in 0..2 {
+                    cov.correlation_matrix_with(&mut matrix, avx);
+                    assert_eq!(matrix.len(), n * n);
+                    for i in 0..n {
+                        for j in 0..n {
+                            assert_eq!(
+                                matrix[i * n + j].to_bits(),
+                                cov.correlation(i, j).to_bits(),
+                                "n={n} avx={avx} cell ({i},{j})"
+                            );
+                        }
+                    }
+                    matrix.fill(f64::NAN);
+                }
             }
         }
     }

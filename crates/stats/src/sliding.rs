@@ -27,6 +27,7 @@
 
 use cad_runtime::Timer;
 
+use crate::finish;
 use crate::tiled::{active_kernel, dot8, fold_delta_upper, gram_upper_tiled, Kernel};
 
 /// Per-pair sliding covariance/correlation state over an `n`-sensor window
@@ -248,45 +249,66 @@ impl SlidingCov {
             return 0.0;
         }
         let (lo, hi) = (i.min(j), i.max(j));
-        let cov = self.sxy[pair_index(self.n, lo, hi)] - self.s1[lo] * self.s1[hi] / self.w as f64;
-        let denom = (self.va(lo) * self.va(hi)).sqrt();
-        if denom <= f64::EPSILON {
-            0.0
-        } else {
-            (cov / denom).clamp(-1.0, 1.0)
-        }
+        let sxy = self.sxy[pair_index(self.n, lo, hi)];
+        pair_cell(
+            sxy,
+            self.s1[lo],
+            self.s1[hi],
+            self.va(lo),
+            self.va(hi),
+            self.w as f64,
+        )
     }
 
     /// Fill `matrix` with the full symmetric `n × n` correlation matrix
     /// (diagonal 1.0, or 0.0 for a constant sensor — the same conventions
     /// as [`crate::correlation::pearson_matrix_normalized`]).
     pub fn correlation_matrix_into(&self, matrix: &mut Vec<f64>) {
+        self.correlation_matrix_with(matrix, finish::avx())
+    }
+
+    /// [`Self::correlation_matrix_into`] with the finish body chosen by the
+    /// caller: each upper row is written four cells per AVX register when
+    /// `avx`, cell by cell otherwise, then mirrored.
+    fn correlation_matrix_with(&self, matrix: &mut Vec<f64>, avx: bool) {
         assert!(self.primed, "correlation matrix before rebuild");
         let _t = Timer::start("sliding.matrix");
         let n = self.n;
-        matrix.clear();
-        matrix.resize(n * n, 0.0);
+        let w = self.w as f64;
         let va: Vec<f64> = (0..n).map(|i| self.va(i)).collect();
-        let flat: Vec<bool> = (0..n).map(|i| self.is_flat(i)).collect();
+        let flat: Vec<f64> = (0..n).map(|i| finish::lane_flag(self.is_flat(i))).collect();
+        let matrix = finish::sized(matrix, n);
+        let mut start = 0;
         for i in 0..n {
-            matrix[i * n + i] = if flat[i] { 0.0 } else { 1.0 };
-            let start = row_start(n, i);
-            for j in (i + 1)..n {
-                let c = if flat[i] || flat[j] {
-                    0.0
-                } else {
-                    let cov = self.sxy[start + j - i - 1] - self.s1[i] * self.s1[j] / self.w as f64;
-                    let denom = (va[i] * va[j]).sqrt();
-                    if denom <= f64::EPSILON {
-                        0.0
-                    } else {
-                        (cov / denom).clamp(-1.0, 1.0)
-                    }
-                };
-                matrix[i * n + j] = c;
-                matrix[j * n + i] = c;
+            let row = &mut matrix[i * n + i..(i + 1) * n];
+            let (diag, upper) = row.split_first_mut().expect("row holds its diagonal");
+            let sxy = &self.sxy[start..start + upper.len()];
+            start += upper.len();
+            if flat[i].to_bits() != 0 {
+                *diag = 0.0;
+                upper.fill(0.0);
+                continue;
+            }
+            *diag = 1.0;
+            let op = DenseRow {
+                i,
+                w,
+                sxy,
+                s1: &self.s1,
+                va: &va,
+                flat: &flat,
+            };
+            match avx {
+                // SAFETY: the caller checked AVX support.
+                #[cfg(target_arch = "x86_64")]
+                true => unsafe { op.fill_avx(upper) },
+                _ => upper
+                    .iter_mut()
+                    .enumerate()
+                    .for_each(|(k, c)| *c = op.cell(k)),
             }
         }
+        finish::mirror_lower(matrix, n);
     }
 
     /// Persistence view: `(anchors, s1, s2, sxy, primed)`.
@@ -324,6 +346,83 @@ impl SlidingCov {
             scratch: Vec::new(),
             partners: Vec::new(),
         }
+    }
+}
+
+/// The dense cell of a non-flat pair: the clamped Pearson ratio of the
+/// pair's co-moment `sxy`, or 0.0 when the variance product is too small.
+#[inline]
+fn pair_cell(sxy: f64, s1i: f64, s1j: f64, vai: f64, vaj: f64, w: f64) -> f64 {
+    let cov = sxy - s1i * s1j / w;
+    let denom = (vai * vaj).sqrt();
+    if denom <= f64::EPSILON {
+        0.0
+    } else {
+        (cov / denom).clamp(-1.0, 1.0)
+    }
+}
+
+/// Operands of one upper row `i` of the dense finish: cell `k` is the pair
+/// `(i, i + 1 + k)`. `flat` holds [`finish::lane_flag`] masks.
+struct DenseRow<'a> {
+    i: usize,
+    w: f64,
+    sxy: &'a [f64],
+    s1: &'a [f64],
+    va: &'a [f64],
+    flat: &'a [f64],
+}
+
+impl DenseRow<'_> {
+    /// Cell `k`, per pair.
+    #[inline]
+    fn cell(&self, k: usize) -> f64 {
+        let (i, j) = (self.i, self.i + 1 + k);
+        if self.flat[j].to_bits() != 0 {
+            return 0.0;
+        }
+        pair_cell(
+            self.sxy[k],
+            self.s1[i],
+            self.s1[j],
+            self.va[i],
+            self.va[j],
+            self.w,
+        )
+    }
+
+    /// Every cell of the row, [`Self::cell`]'s arithmetic four lanes per
+    /// register: both screens become masks over the computed ratio.
+    ///
+    /// # Safety
+    /// Caller must ensure the CPU supports AVX.
+    #[cfg(target_arch = "x86_64")]
+    #[target_feature(enable = "avx")]
+    unsafe fn fill_avx(&self, upper: &mut [f64]) {
+        use core::arch::x86_64::*;
+        let j0 = self.i + 1;
+        assert!(upper.len() == self.sxy.len() && j0 + upper.len() <= self.s1.len());
+        assert!(self.va.len() == self.s1.len() && self.flat.len() == self.s1.len());
+        let s1i = _mm256_set1_pd(self.s1[self.i]);
+        let vai = _mm256_set1_pd(self.va[self.i]);
+        let w = _mm256_set1_pd(self.w);
+        // SAFETY (every load): `fill_lanes` passes k + 4 ≤ upper.len(), so
+        // k + 3 is inside `sxy` and j0 + k + 3 inside the per-sensor arrays.
+        let at = |v: &[f64], k: usize| _mm256_loadu_pd(v.as_ptr().add(k));
+        finish::fill_lanes(
+            upper,
+            |k| {
+                let j = j0 + k;
+                let cov = _mm256_sub_pd(
+                    at(self.sxy, k),
+                    _mm256_div_pd(_mm256_mul_pd(s1i, at(self.s1, j)), w),
+                );
+                let denom = _mm256_sqrt_pd(_mm256_mul_pd(vai, at(self.va, j)));
+                let zero = _mm256_or_pd(finish::le_eps(denom), at(self.flat, j));
+                _mm256_andnot_pd(zero, finish::clamp_unit(_mm256_div_pd(cov, denom)))
+            },
+            |k| self.cell(k),
+        );
     }
 }
 
@@ -426,28 +525,50 @@ mod tests {
 
     #[test]
     fn matrix_agrees_with_pairwise() {
-        let w = 20;
-        let n = 6;
-        let window: Vec<Vec<f64>> = (0..n)
-            .map(|s| {
-                (0..w)
-                    .map(|t| ((t * (s + 2)) as f64 * 0.13).cos() * (1.0 + s as f64))
+        // Every cell of both finish bodies, bit for bit, against the
+        // per-pair view, after a slide, with a constant sensor, an all-NaN
+        // one (its variance maps to 0.0) and a stale buffer larger than n².
+        let (w, s) = (20, 3);
+        for n in crate::finish::TEST_SIZES {
+            let window: Vec<Vec<f64>> = (0..n)
+                .map(|i| match i % 11 {
+                    3 => vec![5.0; w + s],
+                    7 => vec![f64::NAN; w + s],
+                    _ => (0..w + s)
+                        .map(|t| ((t * (i + 2)) as f64 * 0.13).cos() * (1.0 + i as f64))
+                        .collect(),
+                })
+                .collect();
+            let cols = |range: std::ops::Range<usize>| -> Vec<f64> {
+                window
+                    .iter()
+                    .flat_map(|r| r[range.clone()].iter().copied())
                     .collect()
-            })
-            .collect();
-        let mut cov = SlidingCov::new(n, w);
-        cov.rebuild(&flatten(&window));
-        // A reused buffer with stale contents must not leak into the result.
-        let mut matrix = vec![f64::NAN; n * n];
-        cov.correlation_matrix_into(&mut matrix);
-        for i in 0..n {
-            for j in 0..n {
-                assert_eq!(
-                    matrix[i * n + j].to_bits(),
-                    cov.correlation(i, j).to_bits(),
-                    "cell ({i},{j})"
-                );
-                assert_eq!(matrix[i * n + j].to_bits(), matrix[j * n + i].to_bits());
+            };
+            let mut cov = SlidingCov::new(n, w);
+            cov.rebuild(&cols(0..w));
+            cov.slide(&cols(w..w + s), &cols(0..s), s);
+            let mut bodies = vec![false];
+            if crate::finish::avx() {
+                bodies.push(true);
+            }
+            for avx in bodies {
+                // Stale NaN buffers: larger than n², then exactly n².
+                let mut matrix = vec![f64::NAN; 3 * n * n + 5];
+                for _ in 0..2 {
+                    cov.correlation_matrix_with(&mut matrix, avx);
+                    assert_eq!(matrix.len(), n * n);
+                    for i in 0..n {
+                        for j in 0..n {
+                            assert_eq!(
+                                matrix[i * n + j].to_bits(),
+                                cov.correlation(i, j).to_bits(),
+                                "n={n} avx={avx} cell ({i},{j})"
+                            );
+                        }
+                    }
+                    matrix.fill(f64::NAN);
+                }
             }
         }
     }

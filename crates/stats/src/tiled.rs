@@ -132,7 +132,7 @@ pub(crate) fn kernel_test_lock() -> std::sync::MutexGuard<'static, ()> {
 
 /// Whether the explicit AVX dot path is usable on this machine (cached).
 #[cfg(target_arch = "x86_64")]
-fn avx_available() -> bool {
+pub(crate) fn avx_available() -> bool {
     static CACHED: OnceLock<bool> = OnceLock::new();
     *CACHED.get_or_init(|| std::is_x86_feature_detected!("avx"))
 }

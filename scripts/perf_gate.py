@@ -23,6 +23,12 @@ Default (pipeline) mode compares a freshly produced
   ``phases_incremental['tsg.select'].secs`` — top-k neighbour selection
   and TSG assembly under each engine; a revert to the per-cell k-slot
   insertion scan with ``has_edge``-checked assembly trips both.
+* ``phases_incremental['sliding.matrix'].secs`` — the dense incremental
+  matrix finish (AVX upper rows, one row-gather mirror); a revert to the
+  scalar per-cell finish with its scattered mirror writes trips it.
+* ``phases_serial['graph.louvain'].secs`` and
+  ``phases_incremental['graph.louvain'].secs`` — Louvain on the
+  detector's reused CSR workspace under each engine.
 
 ``--serve`` mode compares ``results/BENCH_serve.json`` (written by the
 loadgen at the reduced CI profile) against the committed
@@ -107,6 +113,23 @@ GATES = {
             (
                 "phases_incremental['tsg.select'].secs",
                 lambda r: phase_secs(r, "tsg.select", "phases_incremental"),
+                False,
+            ),
+            # The dense incremental matrix finish.
+            (
+                "phases_incremental['sliding.matrix'].secs",
+                lambda r: phase_secs(r, "sliding.matrix", "phases_incremental"),
+                False,
+            ),
+            # Louvain on the detector's reused workspace, both engines.
+            (
+                "phases_serial['graph.louvain'].secs",
+                lambda r: phase_secs(r, "graph.louvain"),
+                False,
+            ),
+            (
+                "phases_incremental['graph.louvain'].secs",
+                lambda r: phase_secs(r, "graph.louvain", "phases_incremental"),
                 False,
             ),
         ],

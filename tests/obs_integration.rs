@@ -15,6 +15,8 @@
 //! 3. **Wire losslessness** — a `CADM` dump fetched from a live server
 //!    via `Metrics` frames decodes and re-encodes to the same bytes, and
 //!    the decoded snapshot contains the serve-layer metrics.
+//! 4. **A complete phase list** — every `Timer` site under `crates/` names
+//!    a phase in `KNOWN_PHASES`, so bench JSON lists it from the first run.
 //!
 //! The obs registry and tracer are process-global, so every test body
 //! serializes on [`OBS_LOCK`] and starts from `Registry::reset()` /
@@ -349,4 +351,45 @@ fn server_metrics_dump_round_trips_losslessly_over_the_wire() {
 
     client.shutdown_server().expect("shutdown");
     server.join().expect("server thread").expect("server run");
+}
+
+/// Property 4: every `Timer::start("…")` literal under `crates/` is in
+/// `KNOWN_PHASES`. Names under `test.` belong to unit tests and are exempt.
+#[test]
+fn every_timer_phase_is_a_known_phase() {
+    fn rust_files(dir: &std::path::Path, out: &mut Vec<std::path::PathBuf>) {
+        for entry in std::fs::read_dir(dir).expect("readable source dir") {
+            let path = entry.expect("dir entry").path();
+            if path.is_dir() {
+                rust_files(&path, out);
+            } else if path.extension().is_some_and(|e| e == "rs") {
+                out.push(path);
+            }
+        }
+    }
+    let mut files = Vec::new();
+    rust_files(
+        &std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("crates"),
+        &mut files,
+    );
+    const CALL: &str = "Timer::start(\"";
+    let mut sites = Vec::new();
+    for file in &files {
+        let text = std::fs::read_to_string(file).expect("readable source file");
+        for (at, _) in text.match_indices(CALL) {
+            let rest = &text[at + CALL.len()..];
+            let name = &rest[..rest.find('"').expect("closing quote")];
+            sites.push((name.to_string(), file.display().to_string()));
+        }
+    }
+    assert!(
+        sites.iter().any(|(name, _)| name == "graph.louvain"),
+        "the scan found no Timer sites: {sites:?}"
+    );
+    for (name, file) in &sites {
+        assert!(
+            name.starts_with("test.") || cad_runtime::stats::KNOWN_PHASES.contains(&name.as_str()),
+            "phase {name:?} timed in {file} is missing from KNOWN_PHASES"
+        );
+    }
 }
