@@ -21,7 +21,9 @@
 
 use cad_mts::{Mts, WindowSource};
 use cad_runtime::Timer;
-use cad_stats::correlation::{pearson_matrix_normalized, pearson_normalized, znorm_in_place};
+use cad_stats::correlation::{
+    pearson_matrix_into, pearson_normalized, pearson_row_into, znorm_in_place,
+};
 use cad_stats::rank_correlation::fractional_ranks;
 
 use crate::hnsw::{Hnsw, HnswConfig};
@@ -93,7 +95,9 @@ impl KnnConfig {
 }
 
 /// Above this vertex count the O(n²) correlation matrix is skipped (its
-/// memory would dominate) and correlations are recomputed per vertex.
+/// memory would dominate) and correlations are recomputed per vertex, with
+/// the matrix's arithmetic, so the TSG does not depend on which side of
+/// the limit `n` falls.
 const MATRIX_VERTEX_LIMIT: usize = 2048;
 
 /// Vertices per parallel selection chunk. Fixed, so chunk boundaries —
@@ -288,14 +292,6 @@ pub fn tsg_from_matrix(matrix: &[f64], n: usize, config: &KnnConfig) -> Weighted
     assemble(n, &chunks)
 }
 
-/// Correlations of `u` against all vertices, computed directly from the
-/// normalised windows (fallback for networks too wide for the matrix).
-fn correlation_row(normalized: &[f64], n: usize, w: usize, u: usize, out: &mut Vec<f64>) {
-    let row_u = &normalized[u * w..(u + 1) * w];
-    out.clear();
-    out.extend((0..n).map(|v| pearson_normalized(row_u, &normalized[v * w..(v + 1) * w])));
-}
-
 /// Reusable correlation k-NN builder. Holds scratch buffers so per-round
 /// TSG construction performs no allocations beyond the output graph.
 #[derive(Debug)]
@@ -303,6 +299,8 @@ pub struct CorrelationKnn {
     config: KnnConfig,
     /// Z-normalised windows, row-major `n × w`.
     normalized: Vec<f64>,
+    /// The round's `n × n` correlation matrix.
+    matrix: Vec<f64>,
 }
 
 impl CorrelationKnn {
@@ -311,6 +309,7 @@ impl CorrelationKnn {
         Self {
             config,
             normalized: Vec::new(),
+            matrix: Vec::new(),
         }
     }
 
@@ -364,21 +363,20 @@ impl CorrelationKnn {
         // upper-triangle correlation matrix (then funnel through
         // [`tsg_from_matrix`], the selection path both engines share); very
         // wide ones recompute rows per vertex to cap memory at O(n·w).
-        let tau = self.config.tau;
-        let normalized = &self.normalized;
         if n <= MATRIX_VERTEX_LIMIT {
-            let matrix = {
+            {
                 let _t = Timer::start("tsg.correlation");
-                pearson_matrix_normalized(normalized, n, w)
-            };
-            return tsg_from_matrix(&matrix, n, &self.config);
+                pearson_matrix_into(&self.normalized, n, w, &mut self.matrix);
+            }
+            return tsg_from_matrix(&self.matrix, n, &self.config);
         }
+        let (tau, normalized) = (self.config.tau, &self.normalized);
         let _t = Timer::start("tsg.select");
         let chunks = cad_runtime::par_map_ranges(n, SELECT_CHUNK, |range| {
             let mut chunk = ChunkPicks::with_capacity(range.len(), k);
             let mut row: Vec<f64> = Vec::with_capacity(n);
             for u in range {
-                correlation_row(normalized, n, w, u, &mut row);
+                pearson_row_into(normalized, n, w, u, &mut row);
                 chunk.push_vertex(&row, k, tau, u);
             }
             chunk
@@ -794,6 +792,31 @@ mod tests {
             CorrelationKnn::new(KnnConfig::new(4, 0.4)).build_full(&mts)
         });
         assert_eq!(serial, parallel, "TSG must not depend on the thread count");
+    }
+
+    #[test]
+    fn wide_networks_keep_the_matrix_arithmetic() {
+        // Past MATRIX_VERTEX_LIMIT the builder computes one correlation row
+        // per vertex instead of the matrix; the TSG must be the matrix
+        // path's, weights and adjacency order included.
+        use cad_stats::correlation::{pearson_matrix_normalized, znormed};
+        let (n, w) = (MATRIX_VERTEX_LIMIT + 1, 16);
+        let series: Vec<Vec<f64>> = (0..n)
+            .map(|s| {
+                (0..w)
+                    .map(|t| {
+                        ((t as f64) * (0.3 + 0.05 * (s % 7) as f64)).sin()
+                            + 0.1 * (((t * 31 + s * 17) % 13) as f64)
+                    })
+                    .collect()
+            })
+            .collect();
+        let normalized: Vec<f64> = series.iter().flat_map(|r| znormed(r)).collect();
+        let config = KnnConfig::new(4, 0.3);
+        let want = tsg_from_matrix(&pearson_matrix_normalized(&normalized, n, w), n, &config);
+        let got = CorrelationKnn::new(config).build_full(&Mts::from_series(series));
+        assert!(want.n_edges() > n, "too few edges to be meaningful");
+        assert!(got == want, "row-wise TSG differs from the matrix TSG");
     }
 
     #[test]

@@ -3,14 +3,17 @@
 //! The hot path of CAD computes an n×n correlation matrix for every round.
 //! Correlation of two z-normalised vectors is just their dot product divided
 //! by the length, so the TSG builder pre-normalises each sensor's window once
-//! and then calls [`pearson_normalized`] per pair. [`pearson`] is the
-//! self-contained variant for callers that have raw readings.
+//! and then takes lane-parallel dot products: the whole matrix
+//! ([`pearson_matrix_into`]) or, for very wide networks, one row at a time
+//! ([`pearson_row_into`]), bit-equal to each other. [`pearson`],
+//! [`pearson_pairwise`] and [`pearson_normalized`] are the sequential
+//! per-pair forms, and the oracles the matrix paths are tested against.
 
 use cad_runtime::Timer;
 
 use crate::descriptive::mean;
 use crate::finish;
-use crate::tiled::{active_kernel, gram_upper_tiled, Kernel};
+use crate::tiled::{dot8, gram_upper_square};
 
 /// Pearson correlation coefficient of two equal-length slices.
 ///
@@ -137,67 +140,74 @@ pub fn znormed(xs: &[f64]) -> Vec<f64> {
 /// Full symmetric `n × n` Pearson matrix over `n` pre-z-normalised rows
 /// (row-major `rows`, each of length `w`), row-major output.
 ///
-/// This is the per-round hot path of TSG construction: only the upper
-/// triangle is computed — O(n²/2·w) instead of the O(n²·w) of per-vertex
-/// rescans — in parallel across the `cad-runtime` pool, then mirrored.
-/// Each cell is a pure function of its pair, so the matrix is bit-identical
-/// for every thread count. The diagonal holds each row's self-correlation
-/// (1.0, or 0.0 for an all-zero row, matching [`pearson`]'s
-/// constant-input convention).
-///
-/// Dispatches on [`active_kernel`]: the default tiled SIMD kernel
-/// (`crate::tiled`, 32×32 upper-triangle tiles, lane-parallel dots,
-/// tile-chunked parallelism) or the seed scalar kernel (`CAD_KERNEL=scalar`:
-/// sequential per-pair sums, row-chunked parallelism). Both are
-/// thread-count invariant; they differ only in floating-point summation
-/// order (~1e-14).
+/// A thin allocating wrapper over [`pearson_matrix_into`], which holds the
+/// arithmetic; round loops call that one with a buffer they keep.
 pub fn pearson_matrix_normalized(rows: &[f64], n: usize, w: usize) -> Vec<f64> {
+    let mut matrix = Vec::new();
+    pearson_matrix_into(rows, n, w, &mut matrix);
+    matrix
+}
+
+/// [`pearson_matrix_normalized`] into a caller-owned buffer, resized to
+/// `n × n` without a fill pass: every cell is written.
+///
+/// This is the per-round hot path of TSG construction: one tiled `Z·Zᵀ`
+/// Gram (`crate::tiled`: 32×32 upper-triangle tiles, lane-parallel dots,
+/// tile-chunked parallelism) fills the upper triangle in place —
+/// O(n²/2·w) — then each upper row is scaled and clamped, four cells per
+/// AVX register where the CPU has it, and mirrored. Each cell is a pure
+/// function of its pair, so the matrix is bit-identical for every thread
+/// count. The diagonal holds each row's self-correlation (1.0, or 0.0 for
+/// an all-zero row, matching [`pearson`]'s constant-input convention).
+pub fn pearson_matrix_into(rows: &[f64], n: usize, w: usize, matrix: &mut Vec<f64>) {
+    pearson_matrix_with(rows, n, w, matrix, finish::avx())
+}
+
+/// [`pearson_matrix_into`] with the finish body chosen by the caller.
+fn pearson_matrix_with(rows: &[f64], n: usize, w: usize, matrix: &mut Vec<f64>, avx: bool) {
     assert_eq!(rows.len(), n * w, "rows must be n × w row-major");
-    match active_kernel() {
-        Kernel::Tiled => pearson_matrix_tiled(rows, n, w),
-        Kernel::Scalar => pearson_matrix_scalar(rows, n, w),
-    }
-}
-
-/// Tiled-kernel matrix path: one `Z·Zᵀ` Gram over the contiguous
-/// z-normalised buffer, tile-parallel, then scale/clamp/mirror.
-fn pearson_matrix_tiled(rows: &[f64], n: usize, w: usize) -> Vec<f64> {
-    pearson_matrix_tiled_with(rows, n, w, finish::avx())
-}
-
-/// [`pearson_matrix_tiled`] with the finish body chosen by the caller:
-/// each upper row (diagonal first) is scaled and clamped from the packed
-/// Gram, four cells per AVX register when `avx`, then mirrored.
-fn pearson_matrix_tiled_with(rows: &[f64], n: usize, w: usize, avx: bool) -> Vec<f64> {
-    let mut matrix = vec![0.0; n * n];
+    let matrix = finish::sized(matrix, n);
     if n == 0 {
-        return matrix;
+        return;
     }
     let _t = Timer::start("tsg.correlation.tiled");
     if w < 2 {
         // Degenerate windows carry no correlation information — the same
         // `n < 2 → 0.0` convention as [`pearson_normalized`].
-        return matrix;
+        matrix.fill(0.0);
+        return;
     }
-    let packed = gram_upper_tiled(rows, n, w, true);
+    gram_upper_square(matrix, rows, n, w);
     let w_f = w as f64;
-    let mut start = 0;
     for i in 0..n {
-        let src = &packed[start..start + n - i];
-        start += n - i;
         let row = &mut matrix[i * n + i..(i + 1) * n];
         match avx {
             // SAFETY: the caller checked AVX support.
             #[cfg(target_arch = "x86_64")]
-            true => unsafe { scaled_row_avx(row, src, w_f) },
-            _ => row
-                .iter_mut()
-                .zip(src)
-                .for_each(|(c, &dot)| *c = scaled_cell(dot, w_f)),
+            true => unsafe { scale_row_avx(row, w_f) },
+            _ => row.iter_mut().for_each(|c| *c = scaled_cell(*c, w_f)),
         }
     }
-    finish::mirror_lower(&mut matrix, n);
-    matrix
+    finish::mirror_lower(matrix, n);
+}
+
+/// Row `u` of [`pearson_matrix_normalized`] into `out`, without the matrix:
+/// the same `dot8` and the same scaling, so every cell is bit-equal to the
+/// matrix's (`dot8` is symmetric in its operands). For networks too wide
+/// to hold the `n × n` matrix.
+pub fn pearson_row_into(rows: &[f64], n: usize, w: usize, u: usize, out: &mut Vec<f64>) {
+    assert_eq!(rows.len(), n * w, "rows must be n × w row-major");
+    out.clear();
+    if w < 2 {
+        out.resize(n, 0.0);
+        return;
+    }
+    let row_u = &rows[u * w..(u + 1) * w];
+    let w_f = w as f64;
+    out.extend(
+        rows.chunks_exact(w)
+            .map(|row_v| scaled_cell(dot8(row_u, row_v), w_f)),
+    );
 }
 
 /// One exact-path cell: the normalised rows' dot over `w`, clamped.
@@ -206,50 +216,24 @@ fn scaled_cell(dot: f64, w: f64) -> f64 {
     (dot / w).clamp(-1.0, 1.0)
 }
 
-/// [`scaled_cell`] across a row, four lanes per register.
+/// [`scaled_cell`] across a row in place, four lanes per register.
 ///
 /// # Safety
 /// Caller must ensure the CPU supports AVX.
 #[cfg(target_arch = "x86_64")]
 #[target_feature(enable = "avx")]
-unsafe fn scaled_row_avx(row: &mut [f64], src: &[f64], w: f64) {
+unsafe fn scale_row_avx(row: &mut [f64], w: f64) {
     use core::arch::x86_64::*;
-    assert_eq!(row.len(), src.len());
     let wv = _mm256_set1_pd(w);
-    finish::fill_lanes(
-        row,
-        // SAFETY: `fill_lanes` passes k + 4 ≤ row.len() = src.len().
-        |k| finish::clamp_unit(_mm256_div_pd(_mm256_loadu_pd(src.as_ptr().add(k)), wv)),
-        |k| scaled_cell(src[k], w),
-    );
-}
-
-/// Seed-arithmetic matrix path (`CAD_KERNEL=scalar`): sequential per-pair
-/// sums, one row-chunked work unit per source row.
-fn pearson_matrix_scalar(rows: &[f64], n: usize, w: usize) -> Vec<f64> {
-    let mut matrix = vec![0.0; n * n];
-    if n == 0 {
-        return matrix;
+    let mut lanes = row.chunks_exact_mut(4);
+    for cells in &mut lanes {
+        // SAFETY: `cells` holds exactly four f64s.
+        let q = _mm256_div_pd(_mm256_loadu_pd(cells.as_ptr()), wv);
+        _mm256_storeu_pd(cells.as_mut_ptr(), finish::clamp_unit(q));
     }
-    // One work unit per source row: row i computes its pairs (i, j) for
-    // j > i. Work per row shrinks with i, which the pool's chunk stealing
-    // balances; the output placement depends only on indices.
-    let upper: Vec<Vec<f64>> = cad_runtime::par_map_indexed(n, |i| {
-        let row_i = &rows[i * w..(i + 1) * w];
-        ((i + 1)..n)
-            .map(|j| pearson_normalized(row_i, &rows[j * w..(j + 1) * w]))
-            .collect()
-    });
-    for (i, row_vals) in upper.iter().enumerate() {
-        let row = &rows[i * w..(i + 1) * w];
-        matrix[i * n + i] = pearson_normalized(row, row);
-        for (offset, &c) in row_vals.iter().enumerate() {
-            let j = i + 1 + offset;
-            matrix[i * n + j] = c;
-            matrix[j * n + i] = c;
-        }
+    for c in lanes.into_remainder() {
+        *c = scaled_cell(*c, w);
     }
-    matrix
 }
 
 #[cfg(test)]
@@ -319,42 +303,6 @@ mod tests {
     }
 
     #[test]
-    fn scalar_matrix_matches_pairwise_calls() {
-        let _kernel = crate::tiled::kernel_test_lock();
-        let n = 7;
-        let w = 24;
-        let rows: Vec<f64> = (0..n)
-            .flat_map(|s| {
-                znormed(
-                    &(0..w)
-                        .map(|t| ((t + 3 * s) as f64 * (0.2 + 0.07 * s as f64)).sin())
-                        .collect::<Vec<f64>>(),
-                )
-            })
-            .collect();
-        // The scalar kernel is the seed arithmetic: each cell must be
-        // bit-for-bit the direct pairwise call.
-        let m = crate::tiled::with_kernel_override(Kernel::Scalar, || {
-            pearson_matrix_normalized(&rows, n, w)
-        });
-        for i in 0..n {
-            for j in 0..n {
-                let direct =
-                    pearson_normalized(&rows[i * w..(i + 1) * w], &rows[j * w..(j + 1) * w]);
-                assert_eq!(m[i * n + j].to_bits(), direct.to_bits(), "cell ({i},{j})");
-            }
-        }
-        // The tiled kernel sums in lane order instead: same maths, agreement
-        // to well under 1e-12.
-        let tiled = crate::tiled::with_kernel_override(Kernel::Tiled, || {
-            pearson_matrix_normalized(&rows, n, w)
-        });
-        for (a, b) in m.iter().zip(&tiled) {
-            assert!((a - b).abs() < 1e-12, "scalar {a} vs tiled {b}");
-        }
-    }
-
-    #[test]
     fn matrix_is_symmetric_with_unit_diagonal() {
         let n = 5;
         let w = 16;
@@ -397,7 +345,8 @@ mod tests {
     #[test]
     fn tiled_finish_is_bit_equal_per_cell() {
         // Both finish bodies against `scaled_cell` of the packed Gram, with
-        // a zero row, a NaN row and over-scaled rows whose ratios clamp.
+        // a zero row, a NaN row and over-scaled rows whose ratios clamp,
+        // into a stale NaN buffer larger than n², then exactly n².
         let w = 24;
         for n in crate::finish::TEST_SIZES {
             let rows: Vec<f64> = (0..n)
@@ -415,31 +364,67 @@ mod tests {
                     })
                 })
                 .collect();
-            let packed = gram_upper_tiled(&rows, n, w, true);
+            let mut packed = vec![0.0; crate::tiled::packed_len(n, true)];
+            crate::tiled::gram_upper_tiled(&mut packed, &rows, n, w, true);
             let at = |i: usize, j: usize| i * (2 * n - i + 1) / 2 + (j - i);
             let mut bodies = vec![false];
             if crate::finish::avx() {
                 bodies.push(true);
             }
             for avx in bodies {
-                let m = pearson_matrix_tiled_with(&rows, n, w, avx);
-                for i in 0..n {
-                    for j in 0..n {
-                        let want = scaled_cell(packed[at(i.min(j), i.max(j))], w as f64);
-                        assert_eq!(
-                            m[i * n + j].to_bits(),
-                            want.to_bits(),
-                            "n={n} avx={avx} cell ({i},{j})"
-                        );
+                let mut m = vec![f64::NAN; 3 * n * n + 5];
+                for _ in 0..2 {
+                    pearson_matrix_with(&rows, n, w, &mut m, avx);
+                    assert_eq!(m.len(), n * n);
+                    for i in 0..n {
+                        for j in 0..n {
+                            let want = scaled_cell(packed[at(i.min(j), i.max(j))], w as f64);
+                            assert_eq!(
+                                m[i * n + j].to_bits(),
+                                want.to_bits(),
+                                "n={n} avx={avx} cell ({i},{j})"
+                            );
+                        }
                     }
+                    m.fill(f64::NAN);
                 }
             }
         }
     }
 
     #[test]
+    fn degenerate_windows_overwrite_a_stale_buffer_with_zeros() {
+        let (n, w) = (5, 1);
+        let rows = vec![1.0; n * w];
+        let mut m = vec![f64::NAN; 40];
+        pearson_matrix_into(&rows, n, w, &mut m);
+        assert_eq!(m, vec![0.0; n * n]);
+        let mut row = vec![f64::NAN; 3];
+        pearson_row_into(&rows, n, w, 2, &mut row);
+        assert_eq!(row, vec![0.0; n]);
+    }
+
+    #[test]
+    fn rows_are_bit_equal_to_matrix_rows() {
+        let w = 33;
+        for n in [1usize, 2, 31, 33, 70] {
+            let (_, normed) = edge_case_rows(n, w);
+            let m = pearson_matrix_normalized(&normed, n, w);
+            let mut row = Vec::new();
+            for u in 0..n {
+                pearson_row_into(&normed, n, w, u, &mut row);
+                assert!(
+                    row.iter()
+                        .zip(&m[u * n..(u + 1) * n])
+                        .all(|(a, b)| a.to_bits() == b.to_bits()),
+                    "n={n}: row {u} differs from the matrix row"
+                );
+            }
+        }
+    }
+
+    #[test]
     fn matrix_is_identical_across_thread_counts() {
-        let _kernel = crate::tiled::kernel_test_lock();
         let n = 40;
         let w = 32;
         let rows: Vec<f64> = (0..n)
@@ -512,18 +497,15 @@ mod tests {
         (raw, normed)
     }
 
-    /// Satellite: the tiled kernel against the direct [`pearson`] oracle at
-    /// every awkward `n` around the 32-row tile size — 1, 2, 31, 33, 255,
-    /// 257 — with constant and near-constant sensors included, at ≤ 1e-12.
+    /// The tiled kernel against the direct [`pearson`] oracle at every
+    /// awkward `n` around the 32-row tile size — 1, 2, 31, 33, 255, 257 —
+    /// with constant and near-constant sensors included, at ≤ 1e-12.
     #[test]
     fn tiled_matrix_matches_pearson_oracle_at_tile_edges() {
-        let _kernel = crate::tiled::kernel_test_lock();
         let w = 48; // not a multiple of the 16-element dot chunk either
         for n in [1usize, 2, 31, 33, 255, 257] {
             let (raw, normed) = edge_case_rows(n, w);
-            let m = crate::tiled::with_kernel_override(Kernel::Tiled, || {
-                pearson_matrix_normalized(&normed, n, w)
-            });
+            let m = pearson_matrix_normalized(&normed, n, w);
             for i in 0..n {
                 for j in 0..n {
                     let direct = pearson(&raw[i], &raw[j]);
@@ -537,34 +519,22 @@ mod tests {
         }
     }
 
-    /// The two kernels must agree to ≤ 1e-12 everywhere and both be
-    /// thread-count invariant at non-tile-multiple sizes.
+    /// The matrix is thread-count invariant at non-tile-multiple sizes.
     #[test]
-    fn kernels_agree_and_are_thread_invariant_at_tile_edges() {
-        let _kernel = crate::tiled::kernel_test_lock();
+    fn matrix_is_thread_invariant_at_tile_edges() {
         let w = 33;
         for n in [31usize, 33] {
             let (_, normed) = edge_case_rows(n, w);
-            let tiled = crate::tiled::with_kernel_override(Kernel::Tiled, || {
-                pearson_matrix_normalized(&normed, n, w)
-            });
-            let scalar = crate::tiled::with_kernel_override(Kernel::Scalar, || {
-                pearson_matrix_normalized(&normed, n, w)
-            });
-            for (a, b) in tiled.iter().zip(&scalar) {
-                assert!((a - b).abs() <= 1e-12, "n={n}: tiled {a} vs scalar {b}");
-            }
-            let parallel = cad_runtime::with_thread_override(8, || {
-                crate::tiled::with_kernel_override(Kernel::Tiled, || {
-                    pearson_matrix_normalized(&normed, n, w)
-                })
-            });
+            let serial =
+                cad_runtime::with_thread_override(1, || pearson_matrix_normalized(&normed, n, w));
+            let parallel =
+                cad_runtime::with_thread_override(8, || pearson_matrix_normalized(&normed, n, w));
             assert!(
-                tiled
+                serial
                     .iter()
                     .zip(&parallel)
                     .all(|(a, b)| a.to_bits() == b.to_bits()),
-                "n={n}: tiled kernel must be bit-identical across thread counts"
+                "n={n}: matrix must be bit-identical across thread counts"
             );
         }
     }
@@ -597,7 +567,7 @@ mod tests {
             prop_assert!((r - 1.0).abs() < 1e-9 || r == 0.0);
         }
 
-        /// Satellite property: the tiled kernel tracks the direct
+        /// The tiled kernel tracks the direct
         /// [`pearson`] oracle at ≤ 1e-12 for arbitrary sensor mixes —
         /// ordinary, exactly-constant and near-constant — at any `n`/`w`,
         /// divisible by the tile/lane sizes or not.
@@ -606,7 +576,6 @@ mod tests {
             archetypes in proptest::collection::vec(0usize..3, 1..40),
             w in 4usize..70,
         ) {
-            let _kernel = crate::tiled::kernel_test_lock();
             let n = archetypes.len();
             let raw: Vec<Vec<f64>> = archetypes
                 .iter()
@@ -614,9 +583,7 @@ mod tests {
                 .map(|(s, &a)| raw_sensor(a, s, w))
                 .collect();
             let normed: Vec<f64> = raw.iter().flat_map(|r| znormed(r)).collect();
-            let m = crate::tiled::with_kernel_override(Kernel::Tiled, || {
-                pearson_matrix_normalized(&normed, n, w)
-            });
+            let m = pearson_matrix_normalized(&normed, n, w);
             for i in 0..n {
                 for j in 0..n {
                     let direct = pearson(&raw[i], &raw[j]);

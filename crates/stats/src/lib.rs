@@ -25,8 +25,8 @@ pub mod sliding;
 pub mod tiled;
 
 pub use correlation::{
-    pearson, pearson_matrix_normalized, pearson_normalized, pearson_pairwise, znorm_in_place,
-    znormed,
+    pearson, pearson_matrix_into, pearson_matrix_normalized, pearson_normalized, pearson_pairwise,
+    pearson_row_into, znorm_in_place, znormed,
 };
 pub use descriptive::{mean, median, quantile, stddev, variance};
 pub use ecdf::Ecdf;
@@ -37,7 +37,7 @@ pub use rank_correlation::{fractional_ranks, spearman};
 pub use running::RunningStats;
 pub use sampling::GaussianSampler;
 pub use sliding::SlidingCov;
-pub use tiled::{active_kernel, with_kernel_override, Kernel, ENV_KERNEL};
+pub use tiled::{active_kernel, Kernel};
 
 /// Numerical tolerance used across the suite when comparing floating-point
 /// statistics in tests and guard conditions.

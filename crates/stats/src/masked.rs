@@ -53,9 +53,7 @@
 use cad_runtime::Timer;
 
 use crate::finish;
-use crate::tiled::{
-    active_kernel, dot8, fold_delta_upper, gram_upper_tiled, pair_upper_tiled, Kernel,
-};
+use crate::tiled::{dot8, fold_delta_upper, gram_upper_tiled, pair_upper_tiled};
 
 /// Packed-triangle offset of pair `(i, j)`, `j > i`.
 #[inline]
@@ -225,7 +223,6 @@ impl MaskedSlidingCov {
         assert_eq!(rows.len(), self.n * self.w, "rows must be n × w row-major");
         let _t = Timer::start("masked.rebuild");
         let (n, w) = (self.n, self.w);
-        let kernel = active_kernel();
         for i in 0..n {
             let row = &rows[i * w..(i + 1) * w];
             let mut sum = 0.0;
@@ -247,58 +244,19 @@ impl MaskedSlidingCov {
             for i in 0..n {
                 let (v, sq) = (seg(vals, i, w), seg(sqs, i, w));
                 self.s1[i] = v.iter().sum();
-                self.q1[i] = match kernel {
-                    Kernel::Tiled => dot8(sq, seg(masks, i, w)),
-                    Kernel::Scalar => sq.iter().sum(),
-                };
+                self.q1[i] = dot8(sq, seg(masks, i, w));
             }
-            match kernel {
-                Kernel::Tiled => {
-                    self.psxy
-                        .copy_from_slice(&gram_upper_tiled(vals, n, w, false));
-                    self.pc
-                        .copy_from_slice(&gram_upper_tiled(masks, n, w, false));
-                    let pair = |a: &[f64], b: &[f64]| {
-                        pair_upper_tiled(n, false, |i, j| dot8(seg(a, i, w), seg(b, j, w)))
-                    };
-                    self.psi.copy_from_slice(&pair(vals, masks));
-                    self.psj.copy_from_slice(&pair(masks, vals));
-                    self.pqi.copy_from_slice(&pair(sqs, masks));
-                    self.pqj.copy_from_slice(&pair(masks, sqs));
-                }
-                Kernel::Scalar => {
-                    let upper: Vec<Vec<[f64; 6]>> = cad_runtime::par_map_indexed(n, |i| {
-                        let (vi, mi, qi) = (seg(vals, i, w), seg(masks, i, w), seg(sqs, i, w));
-                        ((i + 1)..n)
-                            .map(|j| {
-                                let (vj, mj, qj) =
-                                    (seg(vals, j, w), seg(masks, j, w), seg(sqs, j, w));
-                                let mut cell = [0.0; 6];
-                                for t in 0..w {
-                                    cell[0] += mi[t] * mj[t];
-                                    cell[1] += vi[t] * mj[t];
-                                    cell[2] += vj[t] * mi[t];
-                                    cell[3] += qi[t] * mj[t];
-                                    cell[4] += qj[t] * mi[t];
-                                    cell[5] += vi[t] * vj[t];
-                                }
-                                cell
-                            })
-                            .collect()
-                    });
-                    for (i, cells) in upper.iter().enumerate() {
-                        let start = row_start(n, i);
-                        for (o, cell) in cells.iter().enumerate() {
-                            self.pc[start + o] = cell[0];
-                            self.psi[start + o] = cell[1];
-                            self.psj[start + o] = cell[2];
-                            self.pqi[start + o] = cell[3];
-                            self.pqj[start + o] = cell[4];
-                            self.psxy[start + o] = cell[5];
-                        }
-                    }
-                }
-            }
+            // Each triangle is filled in place (see the table in the module
+            // docs).
+            gram_upper_tiled(&mut self.psxy, vals, n, w, false);
+            gram_upper_tiled(&mut self.pc, masks, n, w, false);
+            let pair = |out: &mut [f64], a: &[f64], b: &[f64]| {
+                pair_upper_tiled(out, n, false, |i, j| dot8(seg(a, i, w), seg(b, j, w)))
+            };
+            pair(&mut self.psi, vals, masks);
+            pair(&mut self.psj, masks, vals);
+            pair(&mut self.pqi, sqs, masks);
+            pair(&mut self.pqj, masks, sqs);
         }
         self.scratch = buf;
         self.primed = true;
@@ -350,59 +308,18 @@ impl MaskedSlidingCov {
                     self.cnt[i] += im[i * cols + t] - om[i * cols + t];
                 }
             }
-            match active_kernel() {
-                // Tiled SIMD kernel: six blocked slide folds, one per
-                // co-moment triangle (see the table in the module docs).
-                Kernel::Tiled => {
-                    let partners = &mut self.partners;
-                    let mut fold = |acc: &mut [f64], a, b, oa, ob| {
-                        fold_delta_upper(acc, n, cols, [a, b], [oa, ob], partners)
-                    };
-                    fold(&mut self.pc, im, im, om, om);
-                    fold(&mut self.psi, iv, im, ov, om);
-                    fold(&mut self.psj, im, iv, om, ov);
-                    fold(&mut self.pqi, iq, im, oq, om);
-                    fold(&mut self.pqj, im, iq, om, oq);
-                    fold(&mut self.psxy, iv, iv, ov, ov);
-                }
-                Kernel::Scalar => {
-                    let upper: Vec<Vec<[f64; 6]>> = cad_runtime::par_map_indexed(n, |i| {
-                        let (ivi, imi, iqi) =
-                            (seg(iv, i, cols), seg(im, i, cols), seg(iq, i, cols));
-                        let (ovi, omi, oqi) =
-                            (seg(ov, i, cols), seg(om, i, cols), seg(oq, i, cols));
-                        ((i + 1)..n)
-                            .map(|j| {
-                                let (ivj, imj, iqj) =
-                                    (seg(iv, j, cols), seg(im, j, cols), seg(iq, j, cols));
-                                let (ovj, omj, oqj) =
-                                    (seg(ov, j, cols), seg(om, j, cols), seg(oq, j, cols));
-                                let mut cell = [0.0; 6];
-                                for t in 0..cols {
-                                    cell[0] += imi[t] * imj[t] - omi[t] * omj[t];
-                                    cell[1] += ivi[t] * imj[t] - ovi[t] * omj[t];
-                                    cell[2] += ivj[t] * imi[t] - ovj[t] * omi[t];
-                                    cell[3] += iqi[t] * imj[t] - oqi[t] * omj[t];
-                                    cell[4] += iqj[t] * imi[t] - oqj[t] * omi[t];
-                                    cell[5] += ivi[t] * ivj[t] - ovi[t] * ovj[t];
-                                }
-                                cell
-                            })
-                            .collect()
-                    });
-                    for (i, cells) in upper.iter().enumerate() {
-                        let start = row_start(n, i);
-                        for (o, cell) in cells.iter().enumerate() {
-                            self.pc[start + o] += cell[0];
-                            self.psi[start + o] += cell[1];
-                            self.psj[start + o] += cell[2];
-                            self.pqi[start + o] += cell[3];
-                            self.pqj[start + o] += cell[4];
-                            self.psxy[start + o] += cell[5];
-                        }
-                    }
-                }
-            }
+            // Six blocked slide folds, one per co-moment triangle (see the
+            // table in the module docs).
+            let partners = &mut self.partners;
+            let mut fold = |acc: &mut [f64], a, b, oa, ob| {
+                fold_delta_upper(acc, n, cols, [a, b], [oa, ob], partners)
+            };
+            fold(&mut self.pc, im, im, om, om);
+            fold(&mut self.psi, iv, im, ov, om);
+            fold(&mut self.psj, im, iv, om, ov);
+            fold(&mut self.pqi, iq, im, oq, om);
+            fold(&mut self.pqj, im, iq, om, oq);
+            fold(&mut self.psxy, iv, iv, ov, ov);
         }
     }
 
@@ -761,27 +678,31 @@ mod tests {
 
     #[test]
     fn slide_tracks_moving_window_with_holes() {
-        let (n, w, s, total) = (5, 24, 6, 180);
-        let data = series(n, total);
-        let window_at =
-            |a: usize| -> Vec<Vec<f64>> { data.iter().map(|r| r[a..a + w].to_vec()).collect() };
-        let mut cov = MaskedSlidingCov::new(n, w);
-        cov.rebuild(&flatten(&window_at(0)));
-        let mut a = 0;
-        while a + s + w <= total {
-            let incoming: Vec<f64> = data
-                .iter()
-                .flat_map(|r| r[a + w..a + w + s].iter().copied())
-                .collect();
-            let outgoing: Vec<f64> = data
-                .iter()
-                .flat_map(|r| r[a..a + s].iter().copied())
-                .collect();
-            cov.slide(&incoming, &outgoing, s);
-            a += s;
-            assert_matches_oracle(&cov, &window_at(a), 1e-10, "after slide");
+        // n = 5 folds every pair per pair; n = 33 takes the blocked fold
+        // and straddles the 32-row tile edge.
+        for (n, w, s, total) in [(5, 24, 6, 180), (33, 40, 7, 215)] {
+            let data = series(n, total);
+            let window_at =
+                |a: usize| -> Vec<Vec<f64>> { data.iter().map(|r| r[a..a + w].to_vec()).collect() };
+            let mut cov = MaskedSlidingCov::new(n, w);
+            cov.rebuild(&flatten(&window_at(0)));
+            let mut a = 0;
+            while a + s + w <= total {
+                let incoming: Vec<f64> = data
+                    .iter()
+                    .flat_map(|r| r[a + w..a + w + s].iter().copied())
+                    .collect();
+                let outgoing: Vec<f64> = data
+                    .iter()
+                    .flat_map(|r| r[a..a + s].iter().copied())
+                    .collect();
+                cov.slide(&incoming, &outgoing, s);
+                a += s;
+                let ctx = format!("n={n} after slide to {a}");
+                assert_matches_oracle(&cov, &window_at(a), 1e-10, &ctx);
+            }
+            assert!(a > 10 * s, "test must exercise many slides");
         }
-        assert!(a > 10 * s, "test must exercise many slides");
     }
 
     #[test]
@@ -811,7 +732,6 @@ mod tests {
 
     #[test]
     fn thread_counts_are_bit_identical() {
-        let _kernel = crate::tiled::kernel_test_lock();
         let (n, w, s) = (40, 32, 8);
         let make = |threads: usize| {
             cad_runtime::with_thread_override(threads, || {
@@ -846,40 +766,6 @@ mod tests {
                 .all(|(a, b)| a.to_bits() == b.to_bits()),
             "masked matrix must be bit-identical for any thread count"
         );
-    }
-
-    #[test]
-    fn kernels_agree() {
-        let _kernel = crate::tiled::kernel_test_lock();
-        let (n, w, s) = (33, 40, 7);
-        let total = w + 4 * s;
-        let data = series(n, total);
-        let drive = || {
-            let mut cov = MaskedSlidingCov::new(n, w);
-            cov.rebuild(&flatten(
-                &data.iter().map(|r| r[..w].to_vec()).collect::<Vec<_>>(),
-            ));
-            for k in 0..4 {
-                let a = k * s;
-                let incoming: Vec<f64> = data
-                    .iter()
-                    .flat_map(|r| r[a + w..a + w + s].iter().copied())
-                    .collect();
-                let outgoing: Vec<f64> = data
-                    .iter()
-                    .flat_map(|r| r[a..a + s].iter().copied())
-                    .collect();
-                cov.slide(&incoming, &outgoing, s);
-            }
-            let mut m = Vec::new();
-            cov.correlation_matrix_into(&mut m);
-            m
-        };
-        let tiled = crate::tiled::with_kernel_override(Kernel::Tiled, drive);
-        let scalar = crate::tiled::with_kernel_override(Kernel::Scalar, drive);
-        for (a, b) in tiled.iter().zip(&scalar) {
-            assert!((a - b).abs() <= 1e-12, "tiled {a} vs scalar {b}");
-        }
     }
 
     #[test]

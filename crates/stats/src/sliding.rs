@@ -5,10 +5,10 @@
 //! overlap: it maintains per-sensor running sums `Σx, Σx²` and per-pair
 //! `Σxy` over the current window, updated by *adding* the `s` incoming
 //! points and *retiring* the `s` outgoing ones — O(n²·s) per round instead
-//! of the from-scratch O(n²·w). Under the tiled kernel the pair update is
-//! one call to the blocked slide fold [`crate::tiled::fold_delta_upper`],
-//! which adds the incoming Gram and subtracts the outgoing one in place,
-//! bit-equal to per-pair `dot8` deltas.
+//! of the from-scratch O(n²·w). The pair update is one call to the blocked
+//! slide fold [`crate::tiled::fold_delta_upper`], which adds the incoming
+//! Gram and subtracts the outgoing one in place, bit-equal to per-pair
+//! `dot8` deltas.
 //!
 //! ## Numerical conditioning
 //!
@@ -28,7 +28,7 @@
 use cad_runtime::Timer;
 
 use crate::finish;
-use crate::tiled::{active_kernel, dot8, fold_delta_upper, gram_upper_tiled, Kernel};
+use crate::tiled::{dot8, fold_delta_upper, gram_upper_tiled};
 
 /// Per-pair sliding covariance/correlation state over an `n`-sensor window
 /// of length `w`.
@@ -47,7 +47,8 @@ pub struct SlidingCov {
     sxy: Vec<f64>,
     /// Whether a rebuild has primed the sums.
     primed: bool,
-    /// Centred incoming/outgoing scratch for [`Self::slide`].
+    /// Centred window in [`Self::rebuild`], centred incoming/outgoing
+    /// samples in [`Self::slide`].
     scratch: Vec<f64>,
     /// Transposed-partner scratch of the blocked slide kernel.
     partners: Vec<f64>,
@@ -58,12 +59,6 @@ pub struct SlidingCov {
 fn pair_index(n: usize, i: usize, j: usize) -> usize {
     debug_assert!(i < j && j < n);
     i * (2 * n - i - 1) / 2 + (j - i - 1)
-}
-
-/// Start offset of row `i` in the packed triangle.
-#[inline]
-fn row_start(n: usize, i: usize) -> usize {
-    i * (2 * n - i - 1) / 2
 }
 
 impl SlidingCov {
@@ -109,9 +104,10 @@ impl SlidingCov {
         assert_eq!(rows.len(), self.n * self.w, "rows must be n × w row-major");
         let _t = Timer::start("sliding.rebuild");
         let (n, w) = (self.n, self.w);
-        let kernel = active_kernel();
         // Centred copy of the window: dev[i][t] = x − c_i.
-        let mut dev = vec![0.0; n * w];
+        let mut dev = std::mem::take(&mut self.scratch);
+        dev.clear();
+        dev.resize(n * w, 0.0);
         for i in 0..n {
             let row = &rows[i * w..(i + 1) * w];
             let c = row.iter().sum::<f64>() / w as f64;
@@ -121,43 +117,21 @@ impl SlidingCov {
                 *d = x - c;
             }
             self.s1[i] = out.iter().sum();
-            self.s2[i] = match kernel {
-                Kernel::Tiled => dot8(out, out),
-                Kernel::Scalar => out.iter().map(|d| d * d).sum(),
-            };
+            self.s2[i] = dot8(out, out);
         }
-        match kernel {
-            // Tiled SIMD kernel: one Gram over the centred rows, the same
-            // 32×32 tile-chunked `Z·Zᵀ` the exact correlation path uses —
-            // the packed output layout *is* the sxy triangle.
-            Kernel::Tiled => {
-                let sxy = gram_upper_tiled(&dev, n, w, false);
-                self.sxy.copy_from_slice(&sxy);
-            }
-            // Seed arithmetic: sequential per-pair sums, row-chunked.
-            Kernel::Scalar => {
-                let upper: Vec<Vec<f64>> = cad_runtime::par_map_indexed(n, |i| {
-                    let di = &dev[i * w..(i + 1) * w];
-                    ((i + 1)..n)
-                        .map(|j| {
-                            let dj = &dev[j * w..(j + 1) * w];
-                            di.iter().zip(dj).map(|(a, b)| a * b).sum()
-                        })
-                        .collect()
-                });
-                for (i, row) in upper.iter().enumerate() {
-                    let start = row_start(n, i);
-                    self.sxy[start..start + row.len()].copy_from_slice(row);
-                }
-            }
-        }
+        // One Gram over the centred rows, the same 32×32 tile-chunked
+        // `Z·Zᵀ` the exact correlation path uses — the packed output layout
+        // *is* the sxy triangle.
+        gram_upper_tiled(&mut self.sxy, &dev, n, w, false);
+        self.scratch = dev;
         self.primed = true;
     }
 
     /// Advance the window: add `cols` incoming points per sensor and retire
     /// `cols` outgoing ones (both row-major `n × cols`, oldest first).
-    /// O(n²·cols), parallel across packed-triangle rows with index-ordered
-    /// placement — thread-count invariant like every other hot path.
+    /// O(n²·cols), tile-chunked across the `cad-runtime` pool with each cell
+    /// updated by one task — thread-count invariant like every other hot
+    /// path.
     pub fn slide(&mut self, incoming: &[f64], outgoing: &[f64], cols: usize) {
         assert!(self.primed, "slide before rebuild");
         assert_eq!(incoming.len(), self.n * cols, "incoming must be n × cols");
@@ -180,48 +154,18 @@ impl SlidingCov {
                 self.s2[i] += di * di - do_ * do_;
             }
         }
+        // The blocked slide fold adds the incoming Gram and subtracts the
+        // outgoing one in place, four partners per register, each cell
+        // bit-equal to the per-pair `dot8(in_i, in_j) − dot8(out_i, out_j)`.
         let (cin, cout) = (&*cin, &*cout);
-        match active_kernel() {
-            // Tiled SIMD kernel: the blocked slide primitive adds the
-            // incoming Gram and subtracts the outgoing one in place, four
-            // partners per register, each cell bit-equal to the per-pair
-            // `dot8(in_i, in_j) − dot8(out_i, out_j)`.
-            Kernel::Tiled => fold_delta_upper(
-                &mut self.sxy,
-                n,
-                cols,
-                [cin, cin],
-                [cout, cout],
-                &mut self.partners,
-            ),
-            // Seed arithmetic: disjoint mutable views of the triangle rows
-            // fan out across the pool; each row's update is a pure function
-            // of (i, cin, cout), sequentially summed.
-            Kernel::Scalar => {
-                let mut rows: Vec<(usize, &mut [f64])> = Vec::with_capacity(n);
-                let mut rest: &mut [f64] = &mut self.sxy;
-                for i in 0..n {
-                    let (head, tail) = rest.split_at_mut(n - 1 - i);
-                    rows.push((i, head));
-                    rest = tail;
-                }
-                cad_runtime::par_map_mut(&mut rows, |_, (i, row)| {
-                    let i = *i;
-                    let in_i = &cin[i * cols..(i + 1) * cols];
-                    let out_i = &cout[i * cols..(i + 1) * cols];
-                    for (offset, acc) in row.iter_mut().enumerate() {
-                        let j = i + 1 + offset;
-                        let in_j = &cin[j * cols..(j + 1) * cols];
-                        let out_j = &cout[j * cols..(j + 1) * cols];
-                        let mut delta = 0.0;
-                        for t in 0..cols {
-                            delta += in_i[t] * in_j[t] - out_i[t] * out_j[t];
-                        }
-                        *acc += delta;
-                    }
-                });
-            }
-        }
+        fold_delta_upper(
+            &mut self.sxy,
+            n,
+            cols,
+            [cin, cin],
+            [cout, cout],
+            &mut self.partners,
+        );
     }
 
     /// Centred variance sum `Σ(x − m)²` of sensor `i` (non-negative).
@@ -468,40 +412,41 @@ mod tests {
 
     #[test]
     fn slide_tracks_moving_window() {
-        let n = 4;
-        let w = 24;
-        let s = 6;
-        let total = 200;
-        let series: Vec<Vec<f64>> = (0..n)
-            .map(|i| {
-                (0..total)
-                    .map(|t| ((t as f64) * (0.11 + 0.05 * i as f64) + i as f64).sin() * 10.0)
+        // n = 4 folds every pair per pair; n = 33 takes the blocked fold
+        // and straddles the 32-row tile edge.
+        for (n, w, s, total) in [(4, 24, 6, 200), (33, 40, 7, 250)] {
+            let series: Vec<Vec<f64>> = (0..n)
+                .map(|i| {
+                    (0..total)
+                        .map(|t| ((t as f64) * (0.11 + 0.05 * i as f64) + i as f64).sin() * 10.0)
+                        .collect()
+                })
+                .collect();
+            let window_at = |start: usize| -> Vec<Vec<f64>> {
+                series
+                    .iter()
+                    .map(|r| r[start..start + w].to_vec())
                     .collect()
-            })
-            .collect();
-        let window_at = |start: usize| -> Vec<Vec<f64>> {
-            series
-                .iter()
-                .map(|r| r[start..start + w].to_vec())
-                .collect()
-        };
-        let mut cov = SlidingCov::new(n, w);
-        cov.rebuild(&flatten(&window_at(0)));
-        let mut start = 0;
-        while start + s + w <= total {
-            let incoming: Vec<f64> = series
-                .iter()
-                .flat_map(|r| r[start + w..start + w + s].iter().copied())
-                .collect();
-            let outgoing: Vec<f64> = series
-                .iter()
-                .flat_map(|r| r[start..start + s].iter().copied())
-                .collect();
-            cov.slide(&incoming, &outgoing, s);
-            start += s;
-            assert_matches_pearson(&cov, &window_at(start), 1e-10, "after slide");
+            };
+            let mut cov = SlidingCov::new(n, w);
+            cov.rebuild(&flatten(&window_at(0)));
+            let mut start = 0;
+            while start + s + w <= total {
+                let incoming: Vec<f64> = series
+                    .iter()
+                    .flat_map(|r| r[start + w..start + w + s].iter().copied())
+                    .collect();
+                let outgoing: Vec<f64> = series
+                    .iter()
+                    .flat_map(|r| r[start..start + s].iter().copied())
+                    .collect();
+                cov.slide(&incoming, &outgoing, s);
+                start += s;
+                let ctx = format!("n={n} after slide to {start}");
+                assert_matches_pearson(&cov, &window_at(start), 1e-10, &ctx);
+            }
+            assert!(start > 10 * s, "test must exercise many slides");
         }
-        assert!(start > 10 * s, "test must exercise many slides");
     }
 
     #[test]
@@ -575,102 +520,49 @@ mod tests {
 
     #[test]
     fn slide_is_identical_across_thread_counts() {
-        let _kernel = crate::tiled::kernel_test_lock();
-        let n = 40;
-        let w = 32;
-        let s = 8;
-        let make = |threads: usize| {
-            cad_runtime::with_thread_override(threads, || {
-                let series: Vec<Vec<f64>> = (0..n)
-                    .map(|i| {
-                        (0..w + 3 * s)
-                            .map(|t| ((t * 13 + i * 7) % 29) as f64 + (t as f64 * 0.21).sin())
-                            .collect()
-                    })
-                    .collect();
-                let mut cov = SlidingCov::new(n, w);
-                let first: Vec<f64> = series.iter().flat_map(|r| r[..w].iter().copied()).collect();
-                cov.rebuild(&first);
-                for k in 0..3 {
-                    let a = k * s;
-                    let incoming: Vec<f64> = series
-                        .iter()
-                        .flat_map(|r| r[a + w..a + w + s].iter().copied())
+        // Both shapes straddle the 32-row tile edge; (33, 40, 7) also runs
+        // the blocked fold on a step narrower than one lane block.
+        for (n, w, s) in [(40, 32, 8), (33, 40, 7)] {
+            let make = |threads: usize| {
+                cad_runtime::with_thread_override(threads, || {
+                    let series: Vec<Vec<f64>> = (0..n)
+                        .map(|i| {
+                            (0..w + 3 * s)
+                                .map(|t| ((t * 13 + i * 7) % 29) as f64 + (t as f64 * 0.21).sin())
+                                .collect()
+                        })
                         .collect();
-                    let outgoing: Vec<f64> = series
-                        .iter()
-                        .flat_map(|r| r[a..a + s].iter().copied())
-                        .collect();
-                    cov.slide(&incoming, &outgoing, s);
-                }
-                let mut m = Vec::new();
-                cov.correlation_matrix_into(&mut m);
-                m
-            })
-        };
-        let serial = make(1);
-        let parallel = make(8);
-        assert!(
-            serial
-                .iter()
-                .zip(&parallel)
-                .all(|(a, b)| a.to_bits() == b.to_bits()),
-            "sliding matrix must be bit-identical for any thread count"
-        );
-    }
-
-    #[test]
-    fn kernels_agree_across_rebuild_and_slides() {
-        let _kernel = crate::tiled::kernel_test_lock();
-        // The tiled SIMD kernel and the seed scalar arithmetic must track
-        // each other through a rebuild and a long slide run — including at
-        // a sensor count straddling the 32-row tile boundary — and the
-        // tiled path must stay thread-count invariant.
-        let n = 33;
-        let (w, s) = (40, 7);
-        let total = w + 6 * s;
-        let series: Vec<Vec<f64>> = (0..n)
-            .map(|i| {
-                (0..total)
-                    .map(|t| ((t * 13 + i * 7) % 29) as f64 + (t as f64 * 0.21 + i as f64).sin())
-                    .collect()
-            })
-            .collect();
-        let drive = || {
-            let mut cov = SlidingCov::new(n, w);
-            let first: Vec<f64> = series.iter().flat_map(|r| r[..w].iter().copied()).collect();
-            cov.rebuild(&first);
-            for k in 0..6 {
-                let a = k * s;
-                let incoming: Vec<f64> = series
+                    let mut cov = SlidingCov::new(n, w);
+                    let first: Vec<f64> =
+                        series.iter().flat_map(|r| r[..w].iter().copied()).collect();
+                    cov.rebuild(&first);
+                    for k in 0..3 {
+                        let a = k * s;
+                        let incoming: Vec<f64> = series
+                            .iter()
+                            .flat_map(|r| r[a + w..a + w + s].iter().copied())
+                            .collect();
+                        let outgoing: Vec<f64> = series
+                            .iter()
+                            .flat_map(|r| r[a..a + s].iter().copied())
+                            .collect();
+                        cov.slide(&incoming, &outgoing, s);
+                    }
+                    let mut m = Vec::new();
+                    cov.correlation_matrix_into(&mut m);
+                    m
+                })
+            };
+            let serial = make(1);
+            let parallel = make(8);
+            assert!(
+                serial
                     .iter()
-                    .flat_map(|r| r[a + w..a + w + s].iter().copied())
-                    .collect();
-                let outgoing: Vec<f64> = series
-                    .iter()
-                    .flat_map(|r| r[a..a + s].iter().copied())
-                    .collect();
-                cov.slide(&incoming, &outgoing, s);
-            }
-            let mut m = Vec::new();
-            cov.correlation_matrix_into(&mut m);
-            m
-        };
-        let tiled = crate::tiled::with_kernel_override(crate::tiled::Kernel::Tiled, drive);
-        let scalar = crate::tiled::with_kernel_override(crate::tiled::Kernel::Scalar, drive);
-        for (a, b) in tiled.iter().zip(&scalar) {
-            assert!((a - b).abs() <= 1e-12, "tiled {a} vs scalar {b}");
+                    .zip(&parallel)
+                    .all(|(a, b)| a.to_bits() == b.to_bits()),
+                "n={n}: sliding matrix must be bit-identical for any thread count"
+            );
         }
-        let parallel = cad_runtime::with_thread_override(8, || {
-            crate::tiled::with_kernel_override(crate::tiled::Kernel::Tiled, drive)
-        });
-        assert!(
-            tiled
-                .iter()
-                .zip(&parallel)
-                .all(|(a, b)| a.to_bits() == b.to_bits()),
-            "tiled sliding path must be bit-identical for any thread count"
-        );
     }
 
     #[test]

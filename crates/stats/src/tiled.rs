@@ -42,22 +42,15 @@
 //!    lane arithmetic, so each cell is bit-equal to the per-pair form,
 //!    and the delta is added in place over the same tile traversal.
 //!
-//! ## Kernel selection
+//! ## One arithmetic
 //!
-//! [`active_kernel`] reads the `CAD_KERNEL` environment variable once:
-//! `scalar` keeps the seed arithmetic (sequential sums, row-chunked
-//! parallelism) as a reference and perf-gate foil; anything else (or
-//! unset) selects the tiled kernel. Tests pin the choice in-process with
-//! [`with_kernel_override`]. The two kernels agree to ~1e-14 (same maths,
-//! different summation order); every discrete verdict downstream is
-//! asserted identical across them in `tests/determinism.rs`.
+//! Every correlation producer — the exact engine's matrix and both
+//! incremental accumulators — runs on this kernel; there is no second
+//! arithmetic to select. The only choice made at runtime is between the
+//! AVX and portable bodies, which are bit-identical. [`active_kernel`]
+//! names the kernel for benchmark reports.
 
-use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::OnceLock;
-
-/// Environment variable selecting the correlation kernel:
-/// `scalar` → seed arithmetic, anything else / unset → tiled SIMD kernel.
-pub const ENV_KERNEL: &str = "CAD_KERNEL";
 
 /// Rows per side of one work-unit tile of the upper-triangle traversal.
 pub const TILE: usize = 32;
@@ -65,69 +58,26 @@ pub const TILE: usize = 32;
 /// Independent accumulator lanes of [`dot8`] (four f64×4 register blocks).
 pub const DOT_LANES: usize = 16;
 
-/// Which correlation kernel the hot paths dispatch to.
+/// The correlation kernel, as benchmark reports label it. There is one;
+/// nothing selects it.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Kernel {
-    /// Cache-blocked, lane-parallel SIMD kernel (default).
+    /// Cache-blocked, lane-parallel SIMD kernel.
     Tiled,
-    /// Seed arithmetic: sequential per-pair sums, row-chunked parallelism.
-    Scalar,
 }
 
 impl Kernel {
-    /// Display name (`"tiled"` / `"scalar"`), as accepted by [`ENV_KERNEL`].
+    /// Display name (`"tiled"`).
     pub fn name(self) -> &'static str {
         match self {
             Kernel::Tiled => "tiled",
-            Kernel::Scalar => "scalar",
         }
     }
 }
 
-/// In-process override (0 = none). Set through [`with_kernel_override`] by
-/// tests and benches that A/B the kernels without re-exec.
-static KERNEL_OVERRIDE: AtomicUsize = AtomicUsize::new(0);
-
-fn env_kernel() -> Kernel {
-    static CACHED: OnceLock<Kernel> = OnceLock::new();
-    *CACHED.get_or_init(|| match std::env::var(ENV_KERNEL).as_deref() {
-        Ok("scalar") => Kernel::Scalar,
-        _ => Kernel::Tiled,
-    })
-}
-
-/// The kernel every dispatch site uses: in-process override, else
-/// [`ENV_KERNEL`], else [`Kernel::Tiled`].
+/// The kernel every correlation producer runs, for benches to report.
 pub fn active_kernel() -> Kernel {
-    match KERNEL_OVERRIDE.load(Ordering::Relaxed) {
-        1 => Kernel::Tiled,
-        2 => Kernel::Scalar,
-        _ => env_kernel(),
-    }
-}
-
-/// Run `f` with the kernel pinned at every dispatch site. Process-global,
-/// intended for single-threaded drivers (benches, A/B tests) — the same
-/// discipline as `cad_runtime::with_thread_override`.
-pub fn with_kernel_override<T>(kernel: Kernel, f: impl FnOnce() -> T) -> T {
-    let code = match kernel {
-        Kernel::Tiled => 1,
-        Kernel::Scalar => 2,
-    };
-    let previous = KERNEL_OVERRIDE.swap(code, Ordering::Relaxed);
-    let result = f();
-    KERNEL_OVERRIDE.store(previous, Ordering::Relaxed);
-    result
-}
-
-/// Serialises the unit tests that pin the kernel, or that compare results
-/// of calls which read it: the override is process-global and the test
-/// harness runs tests on parallel threads. Each such test takes the guard
-/// once, outside every override, so nested overrides never lock twice.
-#[cfg(test)]
-pub(crate) fn kernel_test_lock() -> std::sync::MutexGuard<'static, ()> {
-    static LOCK: std::sync::Mutex<()> = std::sync::Mutex::new(());
-    LOCK.lock().unwrap_or_else(|poisoned| poisoned.into_inner())
+    Kernel::Tiled
 }
 
 /// Whether the explicit AVX dot path is usable on this machine (cached).
@@ -370,36 +320,45 @@ pub unsafe fn dot8_avx(a: &[f64], b: &[f64]) -> f64 {
 
 /// Upper-triangle pair map, tile-chunked across the `cad-runtime` pool.
 ///
-/// Evaluates `f(i, j)` for every pair `0 ≤ i ≤ j < n` (or `i < j` when
-/// `include_diag` is false) and returns the results packed row-major —
-/// exactly the `SlidingCov` triangle layout when the diagonal is excluded.
-/// The triangle is covered by [`TILE`]`×`[`TILE`] tiles, one pool work
-/// unit each; each cell is a pure function of `(i, j)` placed by index, so
-/// the result is bit-identical for every thread count and tile size.
-pub fn pair_upper_tiled<F>(n: usize, include_diag: bool, f: F) -> Vec<f64>
+/// Writes `f(i, j)` for every pair `0 ≤ i ≤ j < n` (or `i < j` when
+/// `include_diag` is false) into `out`, packed row-major — exactly the
+/// `SlidingCov` triangle layout when the diagonal is excluded. `out` must
+/// hold `n(n+1)/2` cells with the diagonal, `n(n−1)/2` without. The
+/// triangle is covered by [`TILE`]`×`[`TILE`] tiles, one pool work unit
+/// each; each cell is a pure function of `(i, j)` placed by index, so the
+/// result is bit-identical for every thread count and tile size.
+pub fn pair_upper_tiled<F>(out: &mut [f64], n: usize, include_diag: bool, f: F)
 where
     F: Fn(usize, usize) -> f64 + Sync,
 {
-    let mut out = vec![0.0; packed_len(n, include_diag)];
-    triangle_tiled(&mut out, n, include_diag, |i, lo, j1, dst| {
+    triangle_tiled(out, n, Layout::Packed { include_diag }, |i, lo, j1, dst| {
         for (cell, j) in dst.iter_mut().zip(lo..j1) {
             *cell = f(i, j);
         }
     });
-    out
 }
 
 /// Gram-matrix specialisation of [`pair_upper_tiled`]: `cell(i, j) =
 /// rows[i] · rows[j]` over `n` contiguous rows of length `w`, with the
 /// inner tile loop register-blocked 1×2 via [`dot8x2`] so each `i` row
 /// chunk is loaded once per *pair* of `j` rows. Bit-identical to
-/// `pair_upper_tiled(n, d, |i, j| dot8(row_i, row_j))` — the blocking only
-/// changes load scheduling, never the per-cell arithmetic.
-pub fn gram_upper_tiled(rows: &[f64], n: usize, w: usize, include_diag: bool) -> Vec<f64> {
-    debug_assert!(rows.len() >= n * w);
+/// `pair_upper_tiled(out, n, d, |i, j| dot8(row_i, row_j))` — the blocking
+/// only changes load scheduling, never the per-cell arithmetic.
+pub fn gram_upper_tiled(out: &mut [f64], rows: &[f64], n: usize, w: usize, include_diag: bool) {
+    gram_into(out, rows, n, w, Layout::Packed { include_diag });
+}
+
+/// [`gram_upper_tiled`] with the diagonal, written straight into the upper
+/// triangle of the row-major `n × n` `matrix`; the lower cells are left as
+/// they were.
+pub(crate) fn gram_upper_square(matrix: &mut [f64], rows: &[f64], n: usize, w: usize) {
+    gram_into(matrix, rows, n, w, Layout::Square);
+}
+
+fn gram_into(out: &mut [f64], rows: &[f64], n: usize, w: usize, layout: Layout) {
+    assert!(rows.len() >= n * w, "rows must be n × w row-major");
     let row = |i: usize| &rows[i * w..(i + 1) * w];
-    let mut out = vec![0.0; packed_len(n, include_diag)];
-    triangle_tiled(&mut out, n, include_diag, |i, lo, j1, dst| {
+    triangle_tiled(out, n, layout, |i, lo, j1, dst| {
         let a = row(i);
         let mut j = lo;
         while j + 1 < j1 {
@@ -412,7 +371,6 @@ pub fn gram_upper_tiled(rows: &[f64], n: usize, w: usize, include_diag: bool) ->
             dst[j - lo] = dot8(a, row(j));
         }
     });
-    out
 }
 
 /// `j` partners that share one f64×4 register in [`fold_delta_upper`].
@@ -549,9 +507,14 @@ fn fold_delta_with<F>(
         bt,
         bt_out,
     };
-    triangle_tiled(packed, n, false, |i, lo, j1, dst| {
-        row_body(&op, i, lo, j1, dst)
-    });
+    triangle_tiled(
+        packed,
+        n,
+        Layout::Packed {
+            include_diag: false,
+        },
+        |i, lo, j1, dst| row_body(&op, i, lo, j1, dst),
+    );
 }
 
 /// One tile row of the portable body: four-partner blocks, then the
@@ -721,14 +684,15 @@ unsafe fn delta_row_avx(op: &DeltaOperands, i: usize, lo: usize, j1: usize, dst:
     }
 }
 
-/// Shared pointer to the packed output, handed to pool workers. Writes are
-/// race-free by construction: tiles partition the triangle, so every
-/// per-row destination segment belongs to exactly one tile task.
-struct PackedOut(*mut f64);
+/// Shared pointer to the triangle's output buffer, handed to pool
+/// workers. Writes are race-free by construction: tiles partition the
+/// triangle, so every per-row destination segment belongs to exactly one
+/// tile task.
+struct SharedOut(*mut f64);
 // SAFETY: see above — disjoint segments, one writer each.
-unsafe impl Sync for PackedOut {}
+unsafe impl Sync for SharedOut {}
 
-impl PackedOut {
+impl SharedOut {
     /// Mutable view of `len` cells at `start`.
     ///
     /// # Safety
@@ -741,7 +705,7 @@ impl PackedOut {
 }
 
 /// Cells of the packed upper triangle over `n` rows.
-fn packed_len(n: usize, include_diag: bool) -> usize {
+pub(crate) fn packed_len(n: usize, include_diag: bool) -> usize {
     if include_diag {
         n * (n + 1) / 2
     } else {
@@ -749,31 +713,56 @@ fn packed_len(n: usize, include_diag: bool) -> usize {
     }
 }
 
+/// Where [`triangle_tiled`] places the upper triangle's cells.
+#[derive(Clone, Copy)]
+enum Layout {
+    /// Packed row-major; row `i` holds pairs `(i, i)` (with the diagonal)
+    /// or `(i, i + 1)` (without) through `(i, n − 1)`.
+    Packed { include_diag: bool },
+    /// Cell `(i, j)`, `j ≥ i`, at `i·n + j` of a row-major `n × n` matrix.
+    Square,
+}
+
+impl Layout {
+    fn include_diag(self) -> bool {
+        match self {
+            Layout::Packed { include_diag } => include_diag,
+            Layout::Square => true,
+        }
+    }
+
+    fn len(self, n: usize) -> usize {
+        match self {
+            Layout::Packed { include_diag } => packed_len(n, include_diag),
+            Layout::Square => n * n,
+        }
+    }
+
+    /// Offset of cell `(i, lo)`, `lo` at or right of row `i`'s first cell.
+    fn at(self, n: usize, i: usize, lo: usize) -> usize {
+        match self {
+            Layout::Packed { include_diag: true } => i * (2 * n - i + 1) / 2 + (lo - i),
+            Layout::Packed {
+                include_diag: false,
+            } => i * (2 * n - i - 1) / 2 + (lo - i - 1),
+            Layout::Square => i * n + lo,
+        }
+    }
+}
+
 /// Shared traversal of every tiled pair map: enumerate the upper triangle
 /// as [`TILE`]`×`[`TILE`] tiles (one pool work unit each) and call
 /// `fill(i, lo, j1, dst)` once per tile row, where `dst` is the row's
-/// packed segment of `out` for columns `lo..j1` — written in place, no
-/// per-tile staging buffers or serial scatter pass. Each cell is visited
-/// exactly once by a function of `(i, j)` alone, so the output is
-/// bit-identical for every thread count and tile size.
-fn triangle_tiled<F>(out: &mut [f64], n: usize, include_diag: bool, fill: F)
+/// segment of `out` for columns `lo..j1` — written in place, no per-tile
+/// staging buffers or serial scatter pass. Each cell is visited exactly
+/// once by a function of `(i, j)` alone, so the output is bit-identical
+/// for every thread count and tile size.
+fn triangle_tiled<F>(out: &mut [f64], n: usize, layout: Layout, fill: F)
 where
     F: Fn(usize, usize, usize, &mut [f64]) + Sync,
 {
-    assert_eq!(
-        out.len(),
-        packed_len(n, include_diag),
-        "packed triangle length"
-    );
-    let diag = usize::from(include_diag);
-    // Packed row-major start of row `i`: row i holds pairs (i, i+diag)..(i, n).
-    let row_start = |i: usize| -> usize {
-        if include_diag {
-            i * (2 * n - i + 1) / 2
-        } else {
-            i * (2 * n - i - 1) / 2
-        }
-    };
+    assert_eq!(out.len(), layout.len(n), "triangle output length");
+    let diag = usize::from(layout.include_diag());
     if n == 0 {
         return;
     }
@@ -792,7 +781,7 @@ where
         }
         (ti, ti + t)
     };
-    let dst = PackedOut(out.as_mut_ptr());
+    let dst = SharedOut(out.as_mut_ptr());
     cad_runtime::par_map_ranges(n_tasks, 1, |range| {
         let task = range.start;
         let (ti, tj) = tile_of(task);
@@ -803,11 +792,10 @@ where
             if lo >= j1 {
                 continue;
             }
-            let start = row_start(i) + (lo - (i + 1 - diag));
-            // SAFETY: `start..start + (j1 - lo)` lies inside `out`
-            // (row_start is monotone and the last row ends at packed_len),
-            // and no other tile covers row `i` columns `lo..j1`.
-            let seg = unsafe { dst.segment(start, j1 - lo) };
+            // SAFETY: row `i`'s cells `lo..j1` lie inside `out` in either
+            // layout (the last row ends at the asserted length), and no
+            // other tile covers row `i` columns `lo..j1`.
+            let seg = unsafe { dst.segment(layout.at(n, i, lo), j1 - lo) };
             fill(i, lo, j1, seg);
         }
     });
@@ -892,8 +880,11 @@ mod tests {
             let w = 48;
             let rows: Vec<f64> = (0..n).flat_map(|i| series(w, i)).collect();
             for include_diag in [false, true] {
-                let gram = gram_upper_tiled(&rows, n, w, include_diag);
-                let map = pair_upper_tiled(n, include_diag, |i, j| {
+                // Stale NaN cells: every one must be overwritten.
+                let mut gram = vec![f64::NAN; packed_len(n, include_diag)];
+                gram_upper_tiled(&mut gram, &rows, n, w, include_diag);
+                let mut map = vec![f64::NAN; gram.len()];
+                pair_upper_tiled(&mut map, n, include_diag, |i, j| {
                     dot8(&rows[i * w..(i + 1) * w], &rows[j * w..(j + 1) * w])
                 });
                 assert_eq!(gram.len(), map.len(), "n={n} diag={include_diag}");
@@ -911,7 +902,8 @@ mod tests {
     fn pair_map_covers_every_pair_once() {
         for n in [0, 1, 2, 5, TILE - 1, TILE, TILE + 1, 2 * TILE + 3] {
             for include_diag in [false, true] {
-                let got = pair_upper_tiled(n, include_diag, |i, j| (i * 1000 + j) as f64);
+                let mut got = vec![f64::NAN; packed_len(n, include_diag)];
+                pair_upper_tiled(&mut got, n, include_diag, |i, j| (i * 1000 + j) as f64);
                 let mut expect = Vec::new();
                 for i in 0..n {
                     for j in (i + usize::from(!include_diag))..n {
@@ -927,7 +919,11 @@ mod tests {
     fn pair_map_is_identical_across_thread_counts() {
         let n = 2 * TILE + 7;
         let rows: Vec<Vec<f64>> = (0..n).map(|i| series(48, i)).collect();
-        let run = || pair_upper_tiled(n, true, |i, j| dot8(&rows[i], &rows[j]));
+        let run = || {
+            let mut out = vec![0.0; packed_len(n, true)];
+            pair_upper_tiled(&mut out, n, true, |i, j| dot8(&rows[i], &rows[j]));
+            out
+        };
         let serial = cad_runtime::with_thread_override(1, run);
         let parallel = cad_runtime::with_thread_override(8, run);
         assert!(
@@ -1038,19 +1034,5 @@ mod tests {
             let ops = [&neg_zero[..], &one, &neg_zero, &minus_one];
             check_fold(n, cols, ops, &start, &format!("signed zeros, cols={cols}"));
         }
-    }
-
-    #[test]
-    fn kernel_override_nests_and_restores() {
-        let _kernel = crate::tiled::kernel_test_lock();
-        let ambient = active_kernel();
-        with_kernel_override(Kernel::Scalar, || {
-            assert_eq!(active_kernel(), Kernel::Scalar);
-            with_kernel_override(Kernel::Tiled, || {
-                assert_eq!(active_kernel(), Kernel::Tiled);
-            });
-            assert_eq!(active_kernel(), Kernel::Scalar);
-        });
-        assert_eq!(active_kernel(), ambient);
     }
 }

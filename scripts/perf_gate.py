@@ -5,13 +5,12 @@ Both modes run through ONE gate function; the only difference between
 them is a declarative spec (default file paths, verdict path, and the
 list of guarded metrics with their baseline JSON keys).
 
-Default (pipeline) mode compares a freshly produced
-``results/BENCH_pipeline.json`` against the committed baseline
-``results/BENCH_baseline.json`` (same reduced CI size, tiled kernel):
+Default (pipeline) mode compares freshly produced pipeline reports
+(``results/BENCH_pipeline.json`` unless run reports are named) against the
+committed baseline ``results/BENCH_baseline.json`` (same reduced CI size):
 
-* ``phases_serial['tsg.correlation'].secs`` — the kernel this gate exists
-  to protect; a revert to row-by-row sequential sums roughly quadruples
-  it.
+* ``phases_serial['tsg.correlation'].secs`` — the tiled correlation
+  kernel; a revert to row-by-row sequential sums roughly quadruples it.
 * ``rounds_per_sec`` — end-to-end throughput of the parallel exact pass,
   which catches regressions outside the correlation phase.
 * ``phases_incremental['sliding.slide'].secs`` — the incremental engine's
@@ -38,6 +37,12 @@ loadgen at the reduced CI profile) against the committed
   the latency promise of the poller-driven serving core.
 * ``ticks_per_sec`` — aggregate ingest throughput across all sessions.
 
+The gated phases last milliseconds at the reduced size, so one run is
+noisy. Given several run reports, the gate compares each metric's median
+over them; ``--write-baseline`` writes that per-metric median report as
+the new baseline instead of gating (how ``results/BENCH_baseline.json`` is
+regenerated, from five runs).
+
 Tolerance is 25% by default (CI runners are noisy; the regressions these
 gates are for are 2–4×) and can be overridden via ``CAD_PERF_GATE_TOL``.
 On failure every offending metric is named with its regression ratio and
@@ -46,12 +51,14 @@ always written (``results/PERF_GATE.json``, or
 ``results/PERF_GATE_SERVE.json`` in serve mode) so CI can upload it as an
 artifact whether the gate passes or fails.
 
-Usage: scripts/perf_gate.py [--serve] [current.json [baseline.json]]
+Usage: scripts/perf_gate.py [--serve] [--baseline FILE] [--write-baseline]
+                            [run.json ...]
 Exit status: 0 pass, 1 regression, 2 missing/corrupt input.
 """
 
 import json
 import os
+import statistics
 import sys
 
 
@@ -155,6 +162,28 @@ GATES = {
 }
 
 
+def median_report(reports):
+    """One report whose every numeric leaf is the median of that leaf over
+    ``reports``; every other leaf is the first report's."""
+    first = reports[0]
+    if isinstance(first, dict):
+        return {
+            key: median_report([r[key] for r in reports if isinstance(r, dict) and key in r])
+            for key in first
+        }
+    if isinstance(first, (int, float)) and not isinstance(first, bool):
+        return statistics.median(reports)
+    return first
+
+
+def load_runs(paths):
+    reports = []
+    for path in paths:
+        with open(path) as f:
+            reports.append(json.load(f))
+    return median_report(reports)
+
+
 def regression_ratio(cur, base, higher_is_better):
     """> 1.0 means "worse than baseline", in both orientations."""
     if base <= 0.0:
@@ -164,11 +193,11 @@ def regression_ratio(cur, base, higher_is_better):
     return cur / base
 
 
-def run_gate(gate_name, spec, current_path, baseline_path, tolerance):
+def run_gate(gate_name, spec, current_paths, baseline_path, tolerance):
     """The single gate path both modes share. Returns the exit status."""
     verdict = {
         "gate": gate_name,
-        "current": current_path,
+        "current": current_paths,
         "baseline": baseline_path,
         "tolerance": tolerance,
         "checks": [],
@@ -176,8 +205,7 @@ def run_gate(gate_name, spec, current_path, baseline_path, tolerance):
     }
 
     try:
-        with open(current_path) as f:
-            current = json.load(f)
+        current = load_runs(current_paths)
         with open(baseline_path) as f:
             baseline = json.load(f)
         checks = [
@@ -236,6 +264,19 @@ def write_verdict(verdict, path):
         f.write("\n")
 
 
+def write_baseline(current_paths, baseline_path):
+    try:
+        report = load_runs(current_paths)
+    except (OSError, ValueError) as err:
+        print(f"cannot write baseline: {type(err).__name__}: {err}", file=sys.stderr)
+        return 2
+    with open(baseline_path, "w") as f:
+        json.dump(report, f, indent=2)
+        f.write("\n")
+    print(f"wrote the median of {len(current_paths)} run(s) to {baseline_path}")
+    return 0
+
+
 def main(argv):
     args = list(argv[1:])
     gate_name = "perf"
@@ -243,10 +284,22 @@ def main(argv):
         args.remove("--serve")
         gate_name = "perf-serve"
     spec = GATES[gate_name]
-    current_path = args[0] if args else spec["current_default"]
-    baseline_path = args[1] if len(args) > 1 else spec["baseline_default"]
+    baseline_path = spec["baseline_default"]
+    if "--baseline" in args:
+        at = args.index("--baseline")
+        if at + 1 >= len(args):
+            print("--baseline needs a file", file=sys.stderr)
+            return 2
+        baseline_path = args.pop(at + 1)
+        args.pop(at)
+    rewrite = "--write-baseline" in args
+    if rewrite:
+        args.remove("--write-baseline")
+    current_paths = args or [spec["current_default"]]
+    if rewrite:
+        return write_baseline(current_paths, baseline_path)
     tolerance = float(os.environ.get("CAD_PERF_GATE_TOL", "0.25"))
-    return run_gate(gate_name, spec, current_path, baseline_path, tolerance)
+    return run_gate(gate_name, spec, current_paths, baseline_path, tolerance)
 
 
 if __name__ == "__main__":

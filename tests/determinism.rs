@@ -90,26 +90,25 @@ fn pipeline_outcomes_match_under_ambient_thread_count() {
 }
 
 #[test]
-fn pipeline_verdicts_identical_across_kernels() {
-    // The tiled SIMD kernel and the seed scalar kernel sum in different
-    // orders (~1e-14 apart on raw correlations), but every discrete output
-    // the detector reports — outlier sets, n_r, abnormal verdicts, and the
-    // z-score/rc streams derived from them — must be identical. Each CI
-    // cell of the kernel matrix runs this test, so all four
-    // (kernel × thread) cells are pinned to one verdict stream.
+fn pipeline_verdicts_identical_across_engines() {
+    // The exact engine dots z-normalised windows; the incremental engine
+    // slides co-moment sums. The two sum in wholly different orders
+    // (~1e-14 apart on raw correlations), but every discrete output the
+    // detector reports — outlier sets, n_r and abnormal verdicts — must be
+    // identical on the same wide configuration.
     let data = wide_dataset();
-    let config = wide_config();
-    let tiled = cad_stats::with_kernel_override(cad_stats::Kernel::Tiled, || {
+    let run = |engine: EngineChoice| {
+        let mut config = wide_config();
+        config.engine = engine;
         stream_pipeline(&config, &data)
-    });
-    let scalar = cad_stats::with_kernel_override(cad_stats::Kernel::Scalar, || {
-        stream_pipeline(&config, &data)
-    });
-    assert_eq!(tiled.len(), scalar.len(), "round counts differ");
-    assert!(tiled.len() > 10, "expected a meaningful number of rounds");
-    for (r, (t, s)) in tiled.iter().zip(&scalar).enumerate() {
-        assert_eq!(t.n_r, s.n_r, "round {r}: n_r");
-        assert_eq!(t.abnormal, s.abnormal, "round {r}: abnormal");
-        assert_eq!(t.outliers, s.outliers, "round {r}: outliers");
+    };
+    let exact = run(EngineChoice::Exact);
+    let incremental = run(EngineChoice::incremental());
+    assert_eq!(exact.len(), incremental.len(), "round counts differ");
+    assert!(exact.len() > 10, "expected a meaningful number of rounds");
+    for (r, (e, i)) in exact.iter().zip(&incremental).enumerate() {
+        assert_eq!(e.n_r, i.n_r, "round {r}: n_r");
+        assert_eq!(e.abnormal, i.abnormal, "round {r}: abnormal");
+        assert_eq!(e.outliers, i.outliers, "round {r}: outliers");
     }
 }

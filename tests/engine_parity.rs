@@ -65,33 +65,6 @@ fn verdict_streams_identical_across_seeds() {
 }
 
 #[test]
-fn parity_holds_under_both_correlation_kernels() {
-    // Exact-vs-incremental verdict parity must survive the kernel choice:
-    // under the tiled SIMD kernel both engines route through the tiled
-    // Gram (`pearson_matrix_normalized` / `SlidingCov::rebuild`+`slide`),
-    // under `scalar` both keep the seed arithmetic — and all four streams
-    // must report the same verdicts.
-    let data = dataset(17);
-    let mut streams = Vec::new();
-    for kernel in [cad_stats::Kernel::Tiled, cad_stats::Kernel::Scalar] {
-        cad_stats::with_kernel_override(kernel, || {
-            streams.push(drive(
-                CadDetector::new(24, config(24, EngineChoice::Exact)),
-                &data,
-            ));
-            streams.push(drive(
-                CadDetector::new(24, config(24, EngineChoice::incremental())),
-                &data,
-            ));
-        });
-    }
-    assert!(streams[0].len() > 20, "too few rounds to be meaningful");
-    for other in &streams[1..] {
-        assert_verdict_parity(&streams[0], other);
-    }
-}
-
-#[test]
 fn parity_holds_across_rebuild_cadences() {
     // R=1 degenerates to per-round rebuilds; R=2 rebuilds constantly;
     // R=10_000 never rebuilds after the first window, so the whole test

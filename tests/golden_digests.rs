@@ -6,9 +6,7 @@
 //! moves every run's bits the same way passes them. These tests compare
 //! against FNV-1a digests recorded before the blocked slide kernel landed:
 //! a kernel rewrite that claims bit-identity must leave every digest
-//! unchanged. Each digest is checked at 1 and at 4 runtime threads, with
-//! the tiled kernel pinned so a `CAD_KERNEL=scalar` environment does not
-//! change what is compared.
+//! unchanged. Each digest is checked at 1 and at 4 runtime threads.
 //!
 //! A digest mismatch means the arithmetic changed. If that is intended
 //! (a new summation order, say), re-record the constants and say so.
@@ -17,7 +15,7 @@ use std::sync::Mutex;
 
 use cad_core::{CadConfig, CadDetector, EngineChoice, GapPolicy, StreamingCad};
 use cad_runtime::with_thread_override;
-use cad_stats::{with_kernel_override, Kernel, MaskedCovState, MaskedSlidingCov, SlidingCov};
+use cad_stats::{MaskedCovState, MaskedSlidingCov, SlidingCov};
 
 const SLIDES: usize = 300;
 
@@ -168,14 +166,13 @@ fn stream_digest() -> u64 {
     h.0
 }
 
-/// Digest of `digest` pinned to the tiled kernel, checked equal at 1 and
-/// at 4 runtime threads. The kernel and thread overrides are
-/// process-global, so the tests of this file take turns.
+/// Digest of `digest`, checked equal at 1 and at 4 runtime threads. The
+/// thread override is process-global, so the tests of this file take
+/// turns.
 fn pinned(what: &str, digest: impl Fn() -> u64) -> u64 {
     static TURN: Mutex<()> = Mutex::new(());
     let _turn = TURN.lock().unwrap_or_else(|e| e.into_inner());
-    let run =
-        |threads| with_thread_override(threads, || with_kernel_override(Kernel::Tiled, &digest));
+    let run = |threads| with_thread_override(threads, &digest);
     let one = run(1);
     assert_eq!(one, run(4), "{what}: 1 vs 4 threads");
     one
