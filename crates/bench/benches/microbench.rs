@@ -1,7 +1,9 @@
 //! Criterion micro-benchmarks for the per-round cost drivers:
 //!
 //! * `tsg_build/{n}` — correlation k-NN graph construction (the O(n²·w)
-//!   part of Algorithm 1);
+//!   part of Algorithm 1); n = 2 049 is past the 2 048-sensor limit where
+//!   the builder computes one correlation row per vertex instead of the
+//!   matrix;
 //! * `louvain/{n}` — Phase 1 community detection;
 //! * `cad_round/{n}` — one full `push_window` (the paper's TPR, Table VII
 //!   and Fig. 6's right panel);
@@ -13,7 +15,7 @@ use std::hint::black_box;
 use cad_baselines::{Detector, Ecod, IsolationForest};
 use cad_core::{CadConfig, CadDetector};
 use cad_datagen::{Dataset, GeneratorConfig};
-use cad_graph::{louvain, CorrelationKnn, HnswConfig, KnnConfig, LouvainConfig};
+use cad_graph::{louvain, CorrelationKnn, KnnConfig, LouvainConfig};
 
 fn dataset(n: usize) -> Dataset {
     let mut cfg = GeneratorConfig::small("bench", n, 1);
@@ -32,31 +34,15 @@ fn k_for(n: usize) -> usize {
 
 fn bench_tsg_build(c: &mut Criterion) {
     let mut group = c.benchmark_group("tsg_build");
-    for n in [26usize, 51, 143, 406] {
+    for n in [26usize, 51, 143, 406, 2049] {
+        if n > 406 {
+            // A 2 049-sensor build takes ~50 ms; ten samples keep the group short.
+            group.sample_size(10);
+        }
         let data = dataset(n);
         let mut builder = CorrelationKnn::new(KnnConfig::new(k_for(n), 0.5));
         group.bench_with_input(BenchmarkId::from_parameter(n), &n, |b, _| {
             b.iter(|| black_box(builder.build(&data.test, 0, 64)));
-        });
-    }
-    group.finish();
-}
-
-fn bench_tsg_strategies(c: &mut Criterion) {
-    // Exact O(n²·w) vs HNSW O(n log n) TSG construction — the trade the
-    // paper's complexity analysis relies on (substitution #3 in DESIGN.md).
-    let mut group = c.benchmark_group("tsg_strategy");
-    group.sample_size(10);
-    for n in [143usize, 406] {
-        let data = dataset(n);
-        let mut exact = CorrelationKnn::new(KnnConfig::new(k_for(n), 0.5));
-        let mut approx =
-            CorrelationKnn::new(KnnConfig::new(k_for(n), 0.5).with_hnsw(HnswConfig::default()));
-        group.bench_with_input(BenchmarkId::new("exact", n), &n, |b, _| {
-            b.iter(|| black_box(exact.build(&data.test, 0, 64)));
-        });
-        group.bench_with_input(BenchmarkId::new("hnsw", n), &n, |b, _| {
-            b.iter(|| black_box(approx.build(&data.test, 0, 64)));
         });
     }
     group.finish();
@@ -123,7 +109,6 @@ fn bench_baseline_score(c: &mut Criterion) {
 criterion_group!(
     benches,
     bench_tsg_build,
-    bench_tsg_strategies,
     bench_louvain,
     bench_cad_round,
     bench_baseline_score

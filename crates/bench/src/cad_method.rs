@@ -8,10 +8,13 @@
 //! distribution, and places θ at a fixed fraction of its median — just
 //! under where stable vertices sit, so genuine correlation breaks cross it
 //! while noise does not.
+//!
+//! The TSG is built exactly at every network size, by the same
+//! `CorrelationKnn` path `cad-serve` runs.
 
 use cad_baselines::Detector;
 use cad_core::{CadConfig, CadDetector, CoappearanceTracker, DetectionResult};
-use cad_graph::{louvain, BuildStrategy, CorrelationKnn, HnswConfig};
+use cad_graph::{louvain, CorrelationKnn};
 use cad_mts::Mts;
 use cad_stats::median;
 
@@ -32,9 +35,6 @@ pub struct CadMethod {
     pub theta_frac: f64,
     /// Explicit θ override (skips calibration).
     pub theta_override: Option<f64>,
-    /// Use HNSW candidate search: `None` = auto (on from 256 sensors,
-    /// where the exact O(n²·w) scan stops being the cheapest option).
-    pub use_hnsw: Option<bool>,
     detector: Option<CadDetector>,
     /// Last `w − s` points of the warm-up segment, prepended at scoring
     /// time so the sliding windows stay contiguous across the
@@ -61,7 +61,6 @@ impl CadMethod {
             rc_horizon: Some(16),
             theta_frac: 0.8,
             theta_override: None,
-            use_hnsw: None,
             detector: None,
             his_tail: None,
             last_result: None,
@@ -89,19 +88,12 @@ impl CadMethod {
     }
 
     fn config(&self, n_sensors: usize, theta: f64) -> CadConfig {
-        let hnsw = self.use_hnsw.unwrap_or(n_sensors >= 256);
-        let strategy = if hnsw {
-            BuildStrategy::Hnsw(HnswConfig::default())
-        } else {
-            BuildStrategy::Exact
-        };
         CadConfig::builder(n_sensors)
             .window(self.w, self.s)
             .k(self.k)
             .tau(self.tau)
             .theta(theta)
             .rc_horizon(self.rc_horizon)
-            .knn_strategy(strategy)
             .build()
     }
 

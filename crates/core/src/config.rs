@@ -1,6 +1,6 @@
 //! CAD hyper-parameters (Table I / §VI-H).
 
-use cad_graph::{BuildStrategy, CorrelationKind, KnnConfig, LouvainConfig};
+use cad_graph::{CorrelationKind, KnnConfig, LouvainConfig};
 use cad_mts::WindowSpec;
 
 /// Which round engine builds each round's TSG (see `cad_core::engine`).
@@ -13,8 +13,7 @@ pub enum EngineChoice {
     /// Maintain sliding co-moment sums, updated by the `s` incoming and
     /// `s` retiring points — O(n²·s) per round. An exact rebuild runs
     /// every `rebuild_every` rounds to re-anchor the sums and bound
-    /// floating-point drift. Requires Pearson correlation with the exact
-    /// k-NN strategy.
+    /// floating-point drift. Requires Pearson correlation.
     Incremental {
         /// Exact-rebuild period `R ≥ 1` (1 degenerates to `Exact`).
         rebuild_every: usize,
@@ -144,7 +143,6 @@ pub struct CadConfigBuilder {
     k: usize,
     tau: f64,
     correlation: CorrelationKind,
-    strategy: BuildStrategy,
     theta: f64,
     eta: f64,
     rc_horizon: Option<usize>,
@@ -164,7 +162,6 @@ impl CadConfigBuilder {
             k: (n_sensors / 4).clamp(2, 50),
             tau: 0.5,
             correlation: CorrelationKind::Pearson,
-            strategy: BuildStrategy::Exact,
             theta: 0.3,
             eta: 3.0,
             rc_horizon: None,
@@ -206,13 +203,6 @@ impl CadConfigBuilder {
     /// in the paper; Spearman is the robust ablation variant).
     pub fn correlation(mut self, kind: CorrelationKind) -> Self {
         self.correlation = kind;
-        self
-    }
-
-    /// Neighbour-candidate search strategy for the TSG (exact by default;
-    /// HNSW gives the paper's O(n log n) construction on wide networks).
-    pub fn knn_strategy(mut self, strategy: BuildStrategy) -> Self {
-        self.strategy = strategy;
         self
     }
 
@@ -269,11 +259,6 @@ impl CadConfigBuilder {
                 "masked gap policies support Pearson correlation only \
                  (rank correlation is undefined under pairwise deletion)"
             );
-            assert!(
-                self.strategy == BuildStrategy::Exact,
-                "masked gap policies maintain the full correlation matrix; \
-                 use the exact k-NN strategy"
-            );
         }
         if let EngineChoice::Incremental { rebuild_every } = self.engine {
             assert!(rebuild_every >= 1, "rebuild period must be at least 1");
@@ -282,23 +267,14 @@ impl CadConfigBuilder {
                 "the incremental engine supports Pearson correlation only \
                  (Spearman ranks change wholesale each window)"
             );
-            assert!(
-                self.strategy == BuildStrategy::Exact,
-                "the incremental engine maintains the full correlation matrix; \
-                 use the exact k-NN strategy"
-            );
         }
         CadConfig {
             window: WindowSpec::new(self.w, self.s),
-            knn: {
-                let mut knn = KnnConfig::with_kind(
-                    self.k.min(self.n_sensors.saturating_sub(1)).max(1),
-                    self.tau,
-                    self.correlation,
-                );
-                knn.strategy = self.strategy;
-                knn
-            },
+            knn: KnnConfig::with_kind(
+                self.k.min(self.n_sensors.saturating_sub(1)).max(1),
+                self.tau,
+                self.correlation,
+            ),
             theta: self.theta,
             eta: self.eta,
             rc_horizon: self.rc_horizon,
@@ -391,15 +367,6 @@ mod tests {
     fn incremental_rejects_spearman() {
         CadConfig::builder(4)
             .correlation(CorrelationKind::Spearman)
-            .engine(EngineChoice::incremental())
-            .build();
-    }
-
-    #[test]
-    #[should_panic(expected = "exact k-NN strategy")]
-    fn incremental_rejects_hnsw() {
-        CadConfig::builder(4)
-            .knn_strategy(BuildStrategy::Hnsw(cad_graph::HnswConfig::default()))
             .engine(EngineChoice::incremental())
             .build();
     }

@@ -171,9 +171,8 @@ impl CovSlot {
 
 /// Sliding co-moment engine: O(n²·s) per round instead of O(n²·w).
 ///
-/// Requires Pearson correlation with the exact k-NN strategy (Spearman
-/// ranks and HNSW search have no incremental formulation) —
-/// `CadConfigBuilder::build` enforces this.
+/// Requires Pearson correlation (Spearman ranks have no incremental
+/// formulation) — `CadConfigBuilder::build` enforces this.
 #[derive(Debug)]
 pub struct IncrementalEngine {
     knn: KnnConfig,

@@ -10,7 +10,7 @@
 
 use std::io::{self, BufRead, BufReader, Read, Write};
 
-use cad_graph::{BuildStrategy, CorrelationKind, HnswConfig, LouvainConfig};
+use cad_graph::{CorrelationKind, LouvainConfig};
 use cad_stats::{MaskedCovState, RunningStats, SlidingCov};
 
 use crate::coappearance::CoappearanceTracker;
@@ -74,14 +74,8 @@ pub fn save_detector<W: Write>(detector: &CadDetector, mut out: W) -> io::Result
         CorrelationKind::Spearman => "spearman",
     };
     writeln!(out, "kind {kind}")?;
-    match config.knn.strategy {
-        BuildStrategy::Exact => writeln!(out, "strategy exact")?,
-        BuildStrategy::Hnsw(h) => writeln!(
-            out,
-            "strategy hnsw {} {} {} {}",
-            h.m, h.ef_construction, h.ef_search, h.seed
-        )?,
-    }
+    // The TSG is built one way; the line stays so v3 files keep one layout.
+    writeln!(out, "strategy exact")?;
     writeln!(out, "theta {}", config.theta)?;
     writeln!(out, "eta {}", config.eta)?;
     match config.rc_horizon {
@@ -241,23 +235,15 @@ pub fn load_detector<R: Read>(input: R) -> Result<CadDetector, StateError> {
         "spearman" => CorrelationKind::Spearman,
         other => return Err(fmt_err(format!("unknown correlation kind {other:?}"))),
     };
-    let strategy_line = lines.expect("strategy")?.to_string();
-    let strategy = if strategy_line == "exact" {
-        BuildStrategy::Exact
-    } else if let Some(rest) = strategy_line.strip_prefix("hnsw") {
-        let vals: Vec<&str> = rest.split_whitespace().collect();
-        if vals.len() != 4 {
-            return Err(fmt_err("hnsw strategy needs 4 parameters"));
+    match lines.expect("strategy")? {
+        "exact" => {}
+        other if other.starts_with("hnsw") => {
+            return Err(fmt_err(
+                "HNSW TSG construction was removed; this state needs the exact strategy",
+            ))
         }
-        BuildStrategy::Hnsw(HnswConfig {
-            m: parse(vals[0], "hnsw m")?,
-            ef_construction: parse(vals[1], "hnsw ef_construction")?,
-            ef_search: parse(vals[2], "hnsw ef_search")?,
-            seed: parse(vals[3], "hnsw seed")?,
-        })
-    } else {
-        return Err(fmt_err(format!("unknown strategy {strategy_line:?}")));
-    };
+        other => return Err(fmt_err(format!("unknown strategy {other:?}"))),
+    }
     let theta: f64 = parse(lines.expect("theta")?, "theta")?;
     let eta: f64 = parse(lines.expect("eta")?, "eta")?;
     let rc_horizon = match lines.expect("rc_horizon")? {
@@ -326,7 +312,6 @@ pub fn load_detector<R: Read>(input: R) -> Result<CadDetector, StateError> {
         .k(k)
         .tau(tau)
         .correlation(kind)
-        .knn_strategy(strategy)
         .theta(theta)
         .eta(eta)
         .rc_horizon(rc_horizon)
@@ -640,7 +625,6 @@ mod tests {
             .theta(0.31)
             .eta(2.5)
             .correlation(CorrelationKind::Spearman)
-            .knn_strategy(BuildStrategy::Hnsw(HnswConfig::default()))
             .rc_horizon(None)
             .build();
         let det = CadDetector::new(4, config.clone());
@@ -648,6 +632,35 @@ mod tests {
         save_detector(&det, &mut buf).expect("save");
         let restored = load_detector(buf.as_slice()).expect("load");
         assert_eq!(restored.config(), &config);
+    }
+
+    /// A v3 state exactly as the last writer with a selectable TSG
+    /// strategy wrote it (four rounds of `config()`).
+    const STATE_WITH_STRATEGY_LINE: &str = "cad-state v3\nn_sensors 4\nwindow 32 8\n\
+        knn 1 0.3\nkind pearson\nstrategy exact\ntheta 0.2\neta 3\nrc_horizon 6\n\
+        louvain 16 0.0000001\nengine exact\ngap_policy 0 0\nstats 4 0 0\nprev_outliers \n\
+        warmup_until 0 0 0 0\ntracker_rounds 4\nprev_partition 0 0 1 1\n\
+        cumulative 4 4 4 4\nhistory 4\nh 1 1 1 1\nh 1 1 1 1\nh 1 1 1 1\nh 1 1 1 1\n";
+
+    #[test]
+    fn earlier_written_state_loads_and_saves_identically() {
+        let restored = load_detector(STATE_WITH_STRATEGY_LINE.as_bytes()).expect("load");
+        assert_eq!(restored.config(), &config());
+        let mut buf = Vec::new();
+        save_detector(&restored, &mut buf).expect("save");
+        assert_eq!(String::from_utf8(buf).unwrap(), STATE_WITH_STRATEGY_LINE);
+    }
+
+    #[test]
+    fn hnsw_state_fails_with_a_named_error() {
+        let old =
+            STATE_WITH_STRATEGY_LINE.replace("strategy exact", "strategy hnsw 12 64 48 24301");
+        match load_detector(old.as_bytes()) {
+            Err(StateError::Format(m)) => {
+                assert!(m.contains("HNSW TSG construction was removed"), "{m}")
+            }
+            other => panic!("expected a format error, got {other:?}"),
+        }
     }
 
     /// Drive two copies of one stream — one through a save/load round-trip

@@ -12,8 +12,8 @@
 //! vertex's top-k from its matrix row: one branch-free scan sets a bar no
 //! stronger than the k-th pick, and a sort of the few cells at or above
 //! it finishes the selection (O(n) per vertex plus that sort). The paper
-//! reaches O(n log n) with approximate HNSW search — exactness here only
-//! improves the graphs (see DESIGN.md substitution #3).
+//! cites an approximate index for an O(n log n) bound; this builder is
+//! exact at every n (see DESIGN.md substitution #3).
 //!
 //! Every parallel stage follows the `cad-runtime` determinism contract:
 //! per-pair/per-vertex results are pure and placed by index, so the TSG is
@@ -21,12 +21,9 @@
 
 use cad_mts::{Mts, WindowSource};
 use cad_runtime::Timer;
-use cad_stats::correlation::{
-    pearson_matrix_into, pearson_normalized, pearson_row_into, znorm_in_place,
-};
+use cad_stats::correlation::{pearson_matrix_into, pearson_row_into, znorm_in_place};
 use cad_stats::rank_correlation::fractional_ranks;
 
-use crate::hnsw::{Hnsw, HnswConfig};
 use crate::weighted::WeightedGraph;
 
 /// Which correlation coefficient weighs the TSG edges.
@@ -40,19 +37,6 @@ pub enum CorrelationKind {
     Spearman,
 }
 
-/// How neighbour candidates are found.
-#[derive(Debug, Clone, Copy, PartialEq, Default)]
-pub enum BuildStrategy {
-    /// Exact O(n²·w) pairwise scan (default; always correct).
-    #[default]
-    Exact,
-    /// Approximate O(n log n) search via HNSW (Malkov & Yashunin) over the
-    /// correlation distance `1 − |ρ|` — the construction the paper cites
-    /// for its complexity bound. Falls back to exact below 64 sensors,
-    /// where the index overhead dominates.
-    Hnsw(HnswConfig),
-}
-
 /// TSG construction parameters.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct KnnConfig {
@@ -62,8 +46,6 @@ pub struct KnnConfig {
     pub tau: f64,
     /// Correlation coefficient in use.
     pub kind: CorrelationKind,
-    /// Candidate-search strategy.
-    pub strategy: BuildStrategy,
 }
 
 impl KnnConfig {
@@ -79,18 +61,7 @@ impl KnnConfig {
             (0.0..=1.0).contains(&tau),
             "tau must be in [0,1], got {tau}"
         );
-        Self {
-            k,
-            tau,
-            kind,
-            strategy: BuildStrategy::Exact,
-        }
-    }
-
-    /// Switch to HNSW candidate search (see [`BuildStrategy::Hnsw`]).
-    pub fn with_hnsw(mut self, hnsw: HnswConfig) -> Self {
-        self.strategy = BuildStrategy::Hnsw(hnsw);
-        self
+        Self { k, tau, kind }
     }
 }
 
@@ -351,11 +322,6 @@ impl CorrelationKnn {
         if k == 0 {
             return WeightedGraph::new(n);
         }
-        if let BuildStrategy::Hnsw(hnsw_config) = self.config.strategy {
-            if n >= 64 {
-                return self.build_hnsw(n, w, k, hnsw_config);
-            }
-        }
         // Per-vertex candidate selection is embarrassingly parallel and fans
         // out across the cad-runtime pool. Each selection is a pure function
         // of the correlation values placed by vertex index, so the TSG is
@@ -382,36 +348,6 @@ impl CorrelationKnn {
             chunk
         });
         assemble(n, &chunks)
-    }
-
-    /// HNSW-based candidate search over the already-normalised windows.
-    fn build_hnsw(&self, n: usize, w: usize, k: usize, hnsw_config: HnswConfig) -> WeightedGraph {
-        let normalized = &self.normalized;
-        let corr = |a: usize, b: usize| -> f64 {
-            pearson_normalized(
-                &normalized[a * w..(a + 1) * w],
-                &normalized[b * w..(b + 1) * w],
-            )
-        };
-        // Correlation distance: 0 for |ρ| = 1, 1 for uncorrelated.
-        let dist = |a: usize, b: usize| -> f64 { 1.0 - corr(a, b).abs() };
-        let mut index = Hnsw::new(hnsw_config, &dist);
-        for i in 0..n {
-            index.insert(i);
-        }
-        let mut graph = WeightedGraph::new(n);
-        for u in 0..n {
-            for (d, v) in index.knn(u, k) {
-                let c_abs = 1.0 - d;
-                if c_abs < self.config.tau {
-                    continue;
-                }
-                if !graph.has_edge(u, v) {
-                    graph.add_edge(u, v, corr(u, v));
-                }
-            }
-        }
-        graph
     }
 
     /// Convenience: build over the full series.
@@ -706,39 +642,6 @@ mod tests {
     }
 
     #[test]
-    fn hnsw_strategy_matches_exact_on_structured_data() {
-        // 80 sensors in 4 strongly-driven blocks: the approximate index
-        // must recover the same block edges as the exact scan.
-        let len = 96usize;
-        let series: Vec<Vec<f64>> = (0..80)
-            .map(|s| {
-                let block = s % 4;
-                (0..len)
-                    .map(|t| {
-                        let base = ((t as f64) * (0.11 + 0.07 * block as f64)).sin();
-                        base * (1.0 + 0.01 * (s / 4) as f64)
-                            + 0.02 * (((t * 31 + s * 17) % 13) as f64 - 6.0)
-                    })
-                    .collect()
-            })
-            .collect();
-        let mts = Mts::from_series(series);
-        let mut exact = CorrelationKnn::new(KnnConfig::new(5, 0.6));
-        let mut approx =
-            CorrelationKnn::new(KnnConfig::new(5, 0.6).with_hnsw(HnswConfig::default()));
-        let ge = exact.build_full(&mts);
-        let ga = approx.build_full(&mts);
-        // Every approximate edge must be a genuine strong correlation…
-        for (u, v, wt) in ga.edges() {
-            assert!(wt.abs() >= 0.6, "edge ({u},{v}) weight {wt}");
-        }
-        // …and edge recall against the exact TSG must be high.
-        let recalled = ge.edges().filter(|&(u, v, _)| ga.has_edge(u, v)).count();
-        let recall = recalled as f64 / ge.n_edges().max(1) as f64;
-        assert!(recall > 0.85, "edge recall = {recall:.3}");
-    }
-
-    #[test]
     fn parallel_path_matches_small_path_logic() {
         // 200 sensors → the threaded path runs; the result must be
         // identical across repeated builds (thread layout must not leak).
@@ -817,16 +720,6 @@ mod tests {
         let got = CorrelationKnn::new(config).build_full(&Mts::from_series(series));
         assert!(want.n_edges() > n, "too few edges to be meaningful");
         assert!(got == want, "row-wise TSG differs from the matrix TSG");
-    }
-
-    #[test]
-    fn hnsw_strategy_falls_back_below_threshold() {
-        // Under 64 sensors the exact path runs even with the HNSW flag.
-        let mts = blocky_mts();
-        let mut exact = CorrelationKnn::new(KnnConfig::new(2, 0.5));
-        let mut approx =
-            CorrelationKnn::new(KnnConfig::new(2, 0.5).with_hnsw(HnswConfig::default()));
-        assert_eq!(exact.build_full(&mts), approx.build_full(&mts));
     }
 
     #[test]

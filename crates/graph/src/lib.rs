@@ -6,20 +6,20 @@
 //! with Louvain. This crate owns the general graph machinery:
 //!
 //! * [`WeightedGraph`] — undirected weighted adjacency-list graph;
-//! * [`knn`] — the correlation k-NN graph builder with τ-pruning;
+//! * [`knn`] — the correlation k-NN graph builder with τ-pruning. It is
+//!   exact at every network size: one correlation matrix per round, or one
+//!   row per vertex above 2 048 sensors, with the same arithmetic;
 //! * [`mod@louvain`] — Louvain modularity optimisation (Blondel et al., 2008),
 //!   the paper's chosen community-detection method (O(n log n));
 //! * [`components`] — connected components (used as a sanity oracle for
 //!   Louvain in tests and as a fallback partitioner).
 
 pub mod components;
-pub mod hnsw;
 pub mod knn;
 pub mod louvain;
 pub mod weighted;
 
 pub use components::connected_components;
-pub use hnsw::{Hnsw, HnswConfig};
-pub use knn::{tsg_from_matrix, BuildStrategy, CorrelationKind, CorrelationKnn, KnnConfig};
+pub use knn::{tsg_from_matrix, CorrelationKind, CorrelationKnn, KnnConfig};
 pub use louvain::{louvain, modularity, LouvainConfig, Partition};
 pub use weighted::WeightedGraph;
