@@ -224,7 +224,7 @@ fn wal_stall_is_attributed_selfwatched_and_replayable() {
         // everything, and what remains is the broken WAL behaviour.
         push_burst(&mut t, &mut durations_ns, 1);
         iter += 1;
-        if iter % 4 != 0 {
+        if !iter.is_multiple_of(4) {
             continue;
         }
         let (status, body) = get_text(&ops, "/selfwatch");

@@ -492,7 +492,7 @@ fn chaos_reading(session: u64, t: usize, sensor: usize) -> f64 {
     if sensor >= N_SENSORS {
         return 0.8 * chaos_reading(session, t, 0) + 0.01;
     }
-    if (t * 13 + sensor * 7) % 29 == 0 {
+    if (t * 13 + sensor * 7).is_multiple_of(29) {
         return f64::NAN;
     }
     if sensor == 1 && (t / 16) % 3 == 2 {

@@ -13,7 +13,7 @@ use cad_runtime::Timer;
 
 use crate::descriptive::mean;
 use crate::finish;
-use crate::tiled::{dot8, gram_upper_square};
+use crate::tiled::{dot8_row_into, gram_upper_square};
 
 /// Pearson correlation coefficient of two equal-length slices.
 ///
@@ -178,15 +178,8 @@ fn pearson_matrix_with(rows: &[f64], n: usize, w: usize, matrix: &mut Vec<f64>, 
         return;
     }
     gram_upper_square(matrix, rows, n, w);
-    let w_f = w as f64;
     for i in 0..n {
-        let row = &mut matrix[i * n + i..(i + 1) * n];
-        match avx {
-            // SAFETY: the caller checked AVX support.
-            #[cfg(target_arch = "x86_64")]
-            true => unsafe { scale_row_avx(row, w_f) },
-            _ => row.iter_mut().for_each(|c| *c = scaled_cell(*c, w_f)),
-        }
+        scale_row(&mut matrix[i * n + i..(i + 1) * n], w as f64, avx);
     }
     finish::mirror_lower(matrix, n);
 }
@@ -198,22 +191,29 @@ fn pearson_matrix_with(rows: &[f64], n: usize, w: usize, matrix: &mut Vec<f64>, 
 pub fn pearson_row_into(rows: &[f64], n: usize, w: usize, u: usize, out: &mut Vec<f64>) {
     assert_eq!(rows.len(), n * w, "rows must be n × w row-major");
     out.clear();
+    out.resize(n, 0.0);
     if w < 2 {
-        out.resize(n, 0.0);
         return;
     }
-    let row_u = &rows[u * w..(u + 1) * w];
-    let w_f = w as f64;
-    out.extend(
-        rows.chunks_exact(w)
-            .map(|row_v| scaled_cell(dot8(row_u, row_v), w_f)),
-    );
+    dot8_row_into(&rows[u * w..(u + 1) * w], rows, out);
+    scale_row(out, w as f64, finish::avx());
 }
 
 /// One exact-path cell: the normalised rows' dot over `w`, clamped.
 #[inline]
 fn scaled_cell(dot: f64, w: f64) -> f64 {
     (dot / w).clamp(-1.0, 1.0)
+}
+
+/// [`scaled_cell`] across a row in place; `avx` asks for the lane body,
+/// bit-equal to the per-cell one, which runs where the CPU has AVX.
+fn scale_row(row: &mut [f64], w: f64, avx: bool) {
+    match avx && finish::avx() {
+        // SAFETY: AVX support was just checked.
+        #[cfg(target_arch = "x86_64")]
+        true => unsafe { scale_row_avx(row, w) },
+        _ => row.iter_mut().for_each(|c| *c = scaled_cell(*c, w)),
+    }
 }
 
 /// [`scaled_cell`] across a row in place, four lanes per register.

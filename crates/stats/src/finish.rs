@@ -24,13 +24,10 @@
 #[cfg(target_arch = "x86_64")]
 use core::arch::x86_64::*;
 
-/// Whether the lane bodies run on this machine (the same runtime
-/// detection as the tiled kernels).
+/// Whether the lane bodies run on this machine (the tiled kernels' one
+/// runtime detection).
 pub(crate) fn avx() -> bool {
-    #[cfg(target_arch = "x86_64")]
-    return crate::tiled::avx_available();
-    #[cfg(not(target_arch = "x86_64"))]
-    return false;
+    crate::tiled::avx_available()
 }
 
 /// `matrix` resized to `n × n` without a fill pass: the producer writes

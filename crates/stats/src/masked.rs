@@ -584,7 +584,7 @@ mod tests {
 
     /// Deterministic hole pattern: sample `t` of sensor `i` is missing.
     fn holed(i: usize, t: usize, x: f64) -> f64 {
-        if (t * 7 + i * 13) % 5 == 0 {
+        if (t * 7 + i * 13).is_multiple_of(5) {
             f64::NAN
         } else {
             x

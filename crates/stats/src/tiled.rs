@@ -12,14 +12,13 @@
 //!    *independent* partial sums, which are combined at the end by a fixed
 //!    reduction tree. Independent lanes mean the compiler can (and, checked
 //!    by `scripts/check_autovec.sh`, does) autovectorise the loop into
-//!    packed `vmulpd`/`vaddpd`, and an explicit `core::arch` AVX path
-//!    ([`dot8_avx`], selected at runtime via `is_x86_feature_detected!`)
-//!    performs the *same* lane arithmetic with 256-bit registers even when
-//!    the crate is compiled for baseline x86-64. Because every lane chain
-//!    and the final reduction order are identical across the portable and
-//!    AVX implementations, the two are **bit-identical** — asserted by
-//!    tests here, so runtime dispatch never perturbs the determinism
-//!    contract.
+//!    packed `vmulpd`/`vaddpd`, and explicit `core::arch` bodies
+//!    ([`dot8_avx`], [`dot8_avx512`]) perform the *same* lane arithmetic
+//!    with 256- and 512-bit registers even when the crate is compiled for
+//!    baseline x86-64. Because every lane chain and the final reduction
+//!    order are identical across the bodies, they are **bit-identical** —
+//!    asserted by tests here, so runtime dispatch never perturbs the
+//!    determinism contract.
 //!
 //! 2. **Tile-chunked traversal** ([`pair_upper_tiled`]). The upper
 //!    triangle is enumerated as [`TILE`]`×`[`TILE`] tiles and the
@@ -32,7 +31,19 @@
 //!    traversal), so the output is bit-identical for every thread count
 //!    *and* every tile size.
 //!
-//! 3. **Blocked slide fold** ([`fold_delta_upper`]). The incremental
+//! 3. **Register-blocked Gram** ([`gram_upper_tiled`]). On AVX-512F the
+//!    Gram runs 2 rows × 4 partners per block in tiles off the diagonal
+//!    and 1 × 4 on diagonal tiles and at the edges: 16 accumulators of the
+//!    32 `zmm` registers, each loaded row chunk feeding four cells and
+//!    each partner chunk two. Each cell holds the 16 `dot8` chains as two
+//!    `__m512d`, lanes 0–7 and 8–15, multiply then add from `+0.0` (no
+//!    FMA), and reduces them as `t = lo + hi` (`t_l = l_l + l_{l+8}`),
+//!    `m = t[0..4] + t[4..8]` (`m_k = (l_k + l_{k+8}) + (l_{k+4} +
+//!    l_{k+12})`), then `(m_0 + m_2) + (m_1 + m_3)` by the AVX body's
+//!    128-bit and scalar steps: the [`reduce_lanes`] tree term for term.
+//!    The other bodies pair partners 1 × 2 ([`dot8x2_portable`]).
+//!
+//! 4. **Blocked slide fold** ([`fold_delta_upper`]). The incremental
 //!    engines update a packed co-moment triangle by `dot8(in_i, in_j) −
 //!    dot8(out_i, out_j)` per pair every round, with only `s` samples per
 //!    dot — too short for per-pair calls to amortise their dispatch and
@@ -40,56 +51,90 @@
 //!    `j` partners share one f64×4 register and each broadcast `in_i[t]`
 //!    feeds eight partners; every register lane still runs the `dot8`
 //!    lane arithmetic, so each cell is bit-equal to the per-pair form,
-//!    and the delta is added in place over the same tile traversal.
+//!    and the delta is added in place over the same tile traversal. The
+//!    fold, like the matrix finish (`crate::finish`), runs its AVX body
+//!    on AVX-512F machines too; a 512-bit fold is the next candidate.
 //!
 //! ## One arithmetic
 //!
 //! Every correlation producer — the exact engine's matrix and both
 //! incremental accumulators — runs on this kernel; there is no second
-//! arithmetic to select. The only choice made at runtime is between the
-//! AVX and portable bodies, which are bit-identical. [`active_kernel`]
-//! names the kernel for benchmark reports.
+//! arithmetic to select. The only choice made at runtime is the body —
+//! AVX-512, AVX or portable, all bit-identical — and the CPU makes it:
+//! [`active_kernel`] detects it once, every dispatch site matches on it,
+//! and benchmark reports print its name.
 
 use std::sync::OnceLock;
 
 /// Rows per side of one work-unit tile of the upper-triangle traversal.
 pub const TILE: usize = 32;
 
-/// Independent accumulator lanes of [`dot8`] (four f64×4 register blocks).
+/// Independent accumulator lanes of [`dot8`] (four f64×4 or two f64×8
+/// register blocks).
 pub const DOT_LANES: usize = 16;
 
-/// The correlation kernel, as benchmark reports label it. There is one;
-/// nothing selects it.
+/// The body the correlation kernel runs on this machine, as benchmark
+/// reports label it. The CPU chooses it, once ([`active_kernel`]); every
+/// body computes the same bits, so nothing else may select one.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Kernel {
-    /// Cache-blocked, lane-parallel SIMD kernel.
-    Tiled,
+    /// 512-bit `core::arch` bodies (x86-64 with AVX-512F): a `dot8` lane
+    /// block in two `__m512d`, and the Gram register-blocked 2 rows × 4
+    /// partners. The slide fold and the matrix finish run their AVX bodies.
+    Avx512,
+    /// 256-bit `core::arch` bodies (x86-64 with AVX).
+    Avx,
+    /// Plain lane arithmetic the compiler autovectorises.
+    Portable,
 }
 
 impl Kernel {
-    /// Display name (`"tiled"`).
+    /// Display name: `"avx512"`, `"avx"` or `"portable"`.
     pub fn name(self) -> &'static str {
         match self {
-            Kernel::Tiled => "tiled",
+            Kernel::Avx512 => "avx512",
+            Kernel::Avx => "avx",
+            Kernel::Portable => "portable",
+        }
+    }
+
+    /// Whether this body can run here: the detected one, or a narrower one.
+    fn runs_here(self) -> bool {
+        match self {
+            Kernel::Avx512 => active_kernel() == Kernel::Avx512,
+            Kernel::Avx => active_kernel() != Kernel::Portable,
+            Kernel::Portable => true,
         }
     }
 }
 
-/// The kernel every correlation producer runs, for benches to report.
+/// The body every correlation producer runs on this machine, detected on
+/// first use and cached: the one CPU detection behind every dispatch site.
 pub fn active_kernel() -> Kernel {
-    Kernel::Tiled
+    static DETECTED: OnceLock<Kernel> = OnceLock::new();
+    *DETECTED.get_or_init(|| {
+        #[cfg(target_arch = "x86_64")]
+        {
+            if std::is_x86_feature_detected!("avx512f") {
+                return Kernel::Avx512;
+            }
+            if std::is_x86_feature_detected!("avx") {
+                return Kernel::Avx;
+            }
+        }
+        Kernel::Portable
+    })
 }
 
-/// Whether the explicit AVX dot path is usable on this machine (cached).
-#[cfg(target_arch = "x86_64")]
+/// Whether the 256-bit bodies can run: AVX-512F implies AVX, so the slide
+/// fold and the matrix finish run their AVX bodies under either kernel.
 pub(crate) fn avx_available() -> bool {
-    static CACHED: OnceLock<bool> = OnceLock::new();
-    *CACHED.get_or_init(|| std::is_x86_feature_detected!("avx"))
+    matches!(active_kernel(), Kernel::Avx512 | Kernel::Avx)
 }
 
 /// Lane-parallel dot product of two equal-length slices.
 ///
-/// Semantics (identical across the portable and AVX implementations):
+/// Semantics (identical across the portable, AVX and AVX-512 bodies):
 /// elements are consumed in chunks of [`DOT_LANES`]; lane `l` accumulates
 /// `Σ a[16k+l]·b[16k+l]` in its own chain; lanes reduce by the fixed tree
 /// `m_k = (l_k + l_{k+8}) + (l_{k+4} + l_{k+12})`, `sum = (m_0 + m_2) +
@@ -99,12 +144,15 @@ pub(crate) fn avx_available() -> bool {
 #[inline]
 pub fn dot8(a: &[f64], b: &[f64]) -> f64 {
     debug_assert_eq!(a.len(), b.len());
-    #[cfg(target_arch = "x86_64")]
-    if avx_available() {
-        // SAFETY: AVX support was verified at runtime.
-        return unsafe { dot8_avx(a, b) };
+    match active_kernel() {
+        // SAFETY: the CPU has AVX-512F (runtime detection).
+        #[cfg(target_arch = "x86_64")]
+        Kernel::Avx512 => unsafe { dot8_avx512(a, b) },
+        // SAFETY: the CPU has AVX (runtime detection).
+        #[cfg(target_arch = "x86_64")]
+        Kernel::Avx => unsafe { dot8_avx(a, b) },
+        _ => dot8_portable(a, b),
     }
-    dot8_portable(a, b)
 }
 
 /// Portable implementation of [`dot8`]: plain lane arithmetic the compiler
@@ -136,25 +184,14 @@ pub fn dot8_portable(a: &[f64], b: &[f64]) -> f64 {
     sum
 }
 
-/// Two dot products sharing one left operand: `(a·b0, a·b1)`.
+/// Two dot products sharing one left operand, `(a·b0, a·b1)`: the
+/// register-blocking step of the portable and AVX Gram bodies.
 ///
 /// Each output is computed with *exactly* the [`dot8`] lane arithmetic —
-/// `dot8x2(a, b0, b1).0` is bit-equal to `dot8(a, b0)` (asserted in
-/// tests) — but the shared `a` chunk is loaded once per iteration instead
-/// of twice, which matters because the Gram inner loop is load-port bound:
-/// 12 loads feed 32 element-multiply-adds instead of 16. This is the
-/// register-blocking step of the tiled kernel ([`gram_upper_tiled`]).
-#[inline]
-pub fn dot8x2(a: &[f64], b0: &[f64], b1: &[f64]) -> (f64, f64) {
-    #[cfg(target_arch = "x86_64")]
-    if avx_available() {
-        // SAFETY: AVX support was verified at runtime.
-        return unsafe { dot8x2_avx(a, b0, b1) };
-    }
-    dot8x2_portable(a, b0, b1)
-}
-
-/// Portable implementation of [`dot8x2`]; same autovectorisation story as
+/// `.0` is bit-equal to `dot8(a, b0)` (asserted in tests) — but the shared
+/// `a` chunk is loaded once per iteration instead of twice, which matters
+/// because the Gram inner loop is load-port bound: 12 loads feed 32
+/// element-multiply-adds instead of 16. Same autovectorisation story as
 /// [`dot8_portable`], with both accumulator blocks in one loop.
 #[inline]
 pub fn dot8x2_portable(a: &[f64], b0: &[f64], b1: &[f64]) -> (f64, f64) {
@@ -185,7 +222,7 @@ pub fn dot8x2_portable(a: &[f64], b0: &[f64], b1: &[f64]) -> (f64, f64) {
     (s0, s1)
 }
 
-/// Explicit AVX implementation of [`dot8x2`]: eight `__m256d` accumulators
+/// Explicit AVX implementation of [`dot8x2_portable`]: eight `__m256d` accumulators
 /// (four per output), each `a` chunk loaded once and multiplied against
 /// both `b` rows. Per-output arithmetic and reduction order are identical
 /// to [`dot8_avx`], so the pairing is invisible in the results.
@@ -318,6 +355,98 @@ pub unsafe fn dot8_avx(a: &[f64], b: &[f64]) -> f64 {
     sum
 }
 
+/// Explicit 512-bit implementation of [`dot8`]: the [`DOT_LANES`] chains
+/// held as two `__m512d`, lanes 0–7 and 8–15, multiply then add from
+/// `+0.0`, and reduced by the [`reduce_lanes`] tree term for term.
+///
+/// # Safety
+/// Caller must ensure the CPU supports AVX-512F.
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx512f")]
+pub unsafe fn dot8_avx512(a: &[f64], b: &[f64]) -> f64 {
+    let len = a.len().min(b.len());
+    dots_avx512::<1, 1>([&a[..len]], [&b[..len]])[0][0]
+}
+
+/// `dot8(a[r], b[p])` for every row `r < R` and partner `p < P`, in
+/// `2·R·P` accumulator registers: each chunk of a row is loaded once for
+/// all `P` partners and each chunk of a partner once for all `R` rows.
+/// At `R × P = 2 × 4`, the Gram's off-diagonal block, that is 16
+/// accumulators plus six operand registers of the 32, and 12 loads feed
+/// 16 register multiply-adds. Each cell runs the [`dot8_avx512`]
+/// arithmetic, so it is bit-equal to `dot8(a[r], b[p])` in every body.
+///
+/// # Safety
+/// Caller must ensure the CPU supports AVX-512F.
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx512f")]
+#[inline]
+unsafe fn dots_avx512<const R: usize, const P: usize>(
+    a: [&[f64]; R],
+    b: [&[f64]; P],
+) -> [[f64; P]; R] {
+    use core::arch::x86_64::*;
+    let len = a[0].len();
+    assert!(
+        a.iter().chain(&b).all(|x| x.len() == len),
+        "operands must have equal lengths"
+    );
+    let chunks = len / DOT_LANES;
+    let mut acc = [[[_mm512_setzero_pd(); 2]; P]; R];
+    for c in 0..chunks {
+        let o = c * DOT_LANES;
+        // SAFETY (every load): o + DOT_LANES ≤ len, the length of every
+        // operand (asserted above).
+        let mut va = [[_mm512_setzero_pd(); 2]; R];
+        for (v, x) in va.iter_mut().zip(&a) {
+            *v = [
+                _mm512_loadu_pd(x.as_ptr().add(o)),
+                _mm512_loadu_pd(x.as_ptr().add(o + 8)),
+            ];
+        }
+        for (p, y) in b.iter().enumerate() {
+            let vb = [
+                _mm512_loadu_pd(y.as_ptr().add(o)),
+                _mm512_loadu_pd(y.as_ptr().add(o + 8)),
+            ];
+            for (acc_r, va_r) in acc.iter_mut().zip(&va) {
+                for h in 0..2 {
+                    acc_r[p][h] = _mm512_add_pd(acc_r[p][h], _mm512_mul_pd(va_r[h], vb[h]));
+                }
+            }
+        }
+    }
+    let mut out = [[0.0f64; P]; R];
+    for (r, out_r) in out.iter_mut().enumerate() {
+        for (p, cell) in out_r.iter_mut().enumerate() {
+            let mut sum = reduce_zmm(acc[r][p]);
+            for t in chunks * DOT_LANES..len {
+                sum += a[r][t] * b[p][t];
+            }
+            *cell = sum;
+        }
+    }
+    out
+}
+
+/// The [`reduce_lanes`] tree over lanes `[0..8, 8..16]`: `t_l = l_l +
+/// l_{l+8}`, then `m_k = t_k + t_{k+4}` — which is `(l_k + l_{k+8}) +
+/// (l_{k+4} + l_{k+12})` — then `(m_0 + m_2) + (m_1 + m_3)` by the same
+/// 128-bit and scalar steps as [`dot8_avx`].
+///
+/// # Safety
+/// Caller must ensure the CPU supports AVX-512F.
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx512f")]
+#[inline]
+unsafe fn reduce_zmm([lo, hi]: [core::arch::x86_64::__m512d; 2]) -> f64 {
+    use core::arch::x86_64::*;
+    let t = _mm512_add_pd(lo, hi);
+    let m = _mm256_add_pd(_mm512_castpd512_pd256(t), _mm512_extractf64x4_pd::<1>(t));
+    let s = _mm_add_pd(_mm256_castpd256_pd128(m), _mm256_extractf128_pd::<1>(m));
+    _mm_cvtsd_f64(s) + _mm_cvtsd_f64(_mm_unpackhi_pd(s, s))
+}
+
 /// Upper-triangle pair map, tile-chunked across the `cad-runtime` pool.
 ///
 /// Writes `f(i, j)` for every pair `0 ≤ i ≤ j < n` (or `i < j` when
@@ -339,11 +468,12 @@ where
 }
 
 /// Gram-matrix specialisation of [`pair_upper_tiled`]: `cell(i, j) =
-/// rows[i] · rows[j]` over `n` contiguous rows of length `w`, with the
-/// inner tile loop register-blocked 1×2 via [`dot8x2`] so each `i` row
-/// chunk is loaded once per *pair* of `j` rows. Bit-identical to
-/// `pair_upper_tiled(out, n, d, |i, j| dot8(row_i, row_j))` — the blocking
-/// only changes load scheduling, never the per-cell arithmetic.
+/// rows[i] · rows[j]` over `n` contiguous rows of length `w`, register
+/// blocked so each loaded row chunk feeds several cells — 2 rows × 4
+/// partners on the AVX-512 body, 1 × 2 ([`dot8x2_portable`]) on the
+/// others. Bit-identical to `pair_upper_tiled(out, n, d, |i, j|
+/// dot8(row_i, row_j))` on every body: the blocking only changes load
+/// scheduling, never the per-cell arithmetic.
 pub fn gram_upper_tiled(out: &mut [f64], rows: &[f64], n: usize, w: usize, include_diag: bool) {
     gram_into(out, rows, n, w, Layout::Packed { include_diag });
 }
@@ -356,21 +486,136 @@ pub(crate) fn gram_upper_square(matrix: &mut [f64], rows: &[f64], n: usize, w: u
 }
 
 fn gram_into(out: &mut [f64], rows: &[f64], n: usize, w: usize, layout: Layout) {
+    gram_with(out, rows, n, w, layout, active_kernel());
+}
+
+/// [`gram_into`] on the given body, which must run on this CPU.
+fn gram_with(out: &mut [f64], rows: &[f64], n: usize, w: usize, layout: Layout, kernel: Kernel) {
     assert!(rows.len() >= n * w, "rows must be n × w row-major");
+    assert!(
+        kernel.runs_here(),
+        "{} body on a CPU without it",
+        kernel.name()
+    );
     let row = |i: usize| &rows[i * w..(i + 1) * w];
-    triangle_tiled(out, n, layout, |i, lo, j1, dst| {
-        let a = row(i);
-        let mut j = lo;
-        while j + 1 < j1 {
-            let (d0, d1) = dot8x2(a, row(j), row(j + 1));
-            dst[j - lo] = d0;
-            dst[j + 1 - lo] = d1;
-            j += 2;
+    match kernel {
+        #[cfg(target_arch = "x86_64")]
+        Kernel::Avx512 => triangle_blocks(out, n, layout, |i, lo, j1, segs| {
+            // SAFETY: the CPU has AVX-512F (asserted above).
+            unsafe { gram_rows_avx512(rows, w, i, lo, j1, segs) }
+        }),
+        #[cfg(target_arch = "x86_64")]
+        Kernel::Avx => triangle_tiled(out, n, layout, |i, lo, j1, dst| {
+            // SAFETY (both closures): the CPU has AVX (asserted above).
+            let x2 = |a: &[f64], b0: &[f64], b1: &[f64]| unsafe { dot8x2_avx(a, b0, b1) };
+            let x1 = |a: &[f64], b: &[f64]| unsafe { dot8_avx(a, b) };
+            gram_row(row(i), row, lo, j1, dst, x2, x1);
+        }),
+        _ => triangle_tiled(out, n, layout, |i, lo, j1, dst| {
+            gram_row(row(i), row, lo, j1, dst, dot8x2_portable, dot8_portable);
+        }),
+    }
+}
+
+/// One tile row of the portable and AVX Gram bodies: partners in pairs
+/// through `x2`, the odd one left through `x1`.
+fn gram_row<'r>(
+    a: &[f64],
+    row: impl Fn(usize) -> &'r [f64],
+    lo: usize,
+    j1: usize,
+    dst: &mut [f64],
+    x2: impl Fn(&[f64], &[f64], &[f64]) -> (f64, f64),
+    x1: impl Fn(&[f64], &[f64]) -> f64,
+) {
+    let mut j = lo;
+    while j + 1 < j1 {
+        (dst[j - lo], dst[j + 1 - lo]) = x2(a, row(j), row(j + 1));
+        j += 2;
+    }
+    if j < j1 {
+        dst[j - lo] = x1(a, row(j));
+    }
+}
+
+/// One [`triangle_blocks`] call of the AVX-512 Gram: rows `i` and `i + 1`
+/// in 2 × 4 blocks when `segs` pairs them, else each row in 1 × 4 blocks.
+///
+/// # Safety
+/// Caller must ensure the CPU supports AVX-512F.
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx512f")]
+unsafe fn gram_rows_avx512(
+    rows: &[f64],
+    w: usize,
+    i: usize,
+    lo: usize,
+    j1: usize,
+    segs: &mut [&mut [f64]],
+) {
+    let row = |k: usize| &rows[k * w..(k + 1) * w];
+    match segs {
+        [d0, d1] => gram_block_avx512([row(i), row(i + 1)], row, lo, j1, [d0, d1]),
+        _ => {
+            for (r, dst) in segs.iter_mut().enumerate() {
+                gram_block_avx512([row(i + r)], row, lo, j1, [dst]);
+            }
         }
-        if j < j1 {
-            dst[j - lo] = dot8(a, row(j));
+    }
+}
+
+/// `dst[r][j − lo] = dot8(a[r], row(j))` for `j` in `lo..j1`: four
+/// partners per [`dots_avx512`] block, the fewer-than-four left one by one.
+///
+/// # Safety
+/// Caller must ensure the CPU supports AVX-512F.
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx512f")]
+#[inline]
+unsafe fn gram_block_avx512<'r, const R: usize>(
+    a: [&[f64]; R],
+    row: impl Fn(usize) -> &'r [f64],
+    lo: usize,
+    j1: usize,
+    mut dst: [&mut [f64]; R],
+) {
+    let mut j = lo;
+    while j + 4 <= j1 {
+        let cells = dots_avx512(a, [row(j), row(j + 1), row(j + 2), row(j + 3)]);
+        for (d, c) in dst.iter_mut().zip(&cells) {
+            d[j - lo..j - lo + 4].copy_from_slice(c);
         }
-    });
+        j += 4;
+    }
+    for j in j..j1 {
+        let cells = dots_avx512(a, [row(j)]);
+        for (d, [c]) in dst.iter_mut().zip(cells) {
+            d[j - lo] = c;
+        }
+    }
+}
+
+/// `out[v] = dot8(a, rows[v])` for each of the `out.len()` contiguous rows
+/// of length `a.len()` in `rows`: one row of the Gram without the matrix,
+/// bit-equal to its cells (`dot8` is symmetric in its operands). The
+/// AVX-512 body runs the Gram's 1 × 4 block.
+pub(crate) fn dot8_row_into(a: &[f64], rows: &[f64], out: &mut [f64]) {
+    let w = a.len();
+    assert_eq!(
+        rows.len(),
+        out.len() * w,
+        "rows must be out.len() × a.len()"
+    );
+    let row = |v: usize| &rows[v * w..(v + 1) * w];
+    match active_kernel() {
+        // SAFETY: the CPU has AVX-512F (runtime detection).
+        #[cfg(target_arch = "x86_64")]
+        Kernel::Avx512 => unsafe { gram_block_avx512([a], row, 0, out.len(), [out]) },
+        _ => out
+            .iter_mut()
+            .enumerate()
+            .for_each(|(v, c)| *c = dot8(a, row(v))),
+    }
 }
 
 /// `j` partners that share one f64×4 register in [`fold_delta_upper`].
@@ -714,7 +959,7 @@ pub(crate) fn packed_len(n: usize, include_diag: bool) -> usize {
 }
 
 /// Where [`triangle_tiled`] places the upper triangle's cells.
-#[derive(Clone, Copy)]
+#[derive(Clone, Copy, Debug)]
 enum Layout {
     /// Packed row-major; row `i` holds pairs `(i, i)` (with the diagonal)
     /// or `(i, i + 1)` (without) through `(i, n − 1)`.
@@ -761,6 +1006,23 @@ fn triangle_tiled<F>(out: &mut [f64], n: usize, layout: Layout, fill: F)
 where
     F: Fn(usize, usize, usize, &mut [f64]) + Sync,
 {
+    triangle_blocks(out, n, layout, |i, lo, j1, segs| {
+        for (r, dst) in segs.iter_mut().enumerate() {
+            fill(i + r, lo, j1, dst);
+        }
+    });
+}
+
+/// [`triangle_tiled`] handing over one or two tile rows per call:
+/// `fill(i, lo, j1, segs)` gets the segments of rows `i..i + segs.len()`,
+/// each for columns `lo..j1`. Off the diagonal every row of a tile starts
+/// at the tile's first column, so rows come in pairs (the last of an odd
+/// count alone); on a diagonal tile each row starts at its own diagonal
+/// and comes alone.
+fn triangle_blocks<F>(out: &mut [f64], n: usize, layout: Layout, fill: F)
+where
+    F: Fn(usize, usize, usize, &mut [&mut [f64]]) + Sync,
+{
     assert_eq!(out.len(), layout.len(n), "triangle output length");
     let diag = usize::from(layout.include_diag());
     if n == 0 {
@@ -787,16 +1049,27 @@ where
         let (ti, tj) = tile_of(task);
         let (i0, i1) = (ti * TILE, ((ti + 1) * TILE).min(n));
         let (j0, j1) = (tj * TILE, ((tj + 1) * TILE).min(n));
-        for i in i0..i1 {
-            let lo = j0.max(i + 1 - diag);
-            if lo >= j1 {
-                continue;
+        // SAFETY: row `i`'s cells `lo..j1` lie inside `out` in either
+        // layout (the last row ends at the asserted length), and no other
+        // tile, nor another row of this one, covers row `i` columns
+        // `lo..j1`.
+        let seg = |i: usize, lo: usize| unsafe { dst.segment(layout.at(n, i, lo), j1 - lo) };
+        if ti < tj {
+            let mut i = i0;
+            while i + 1 < i1 {
+                fill(i, j0, j1, &mut [seg(i, j0), seg(i + 1, j0)]);
+                i += 2;
             }
-            // SAFETY: row `i`'s cells `lo..j1` lie inside `out` in either
-            // layout (the last row ends at the asserted length), and no
-            // other tile covers row `i` columns `lo..j1`.
-            let seg = unsafe { dst.segment(layout.at(n, i, lo), j1 - lo) };
-            fill(i, lo, j1, seg);
+            if i < i1 {
+                fill(i, j0, j1, &mut [seg(i, j0)]);
+            }
+        } else {
+            for i in i0..i1 {
+                let lo = i + 1 - diag;
+                if lo < j1 {
+                    fill(i, lo, j1, &mut [seg(i, lo)]);
+                }
+            }
         }
     });
 }
@@ -828,25 +1101,83 @@ mod tests {
         }
     }
 
-    #[test]
-    fn portable_and_simd_are_bit_identical() {
-        #[cfg(target_arch = "x86_64")]
-        {
-            if !avx_available() {
-                eprintln!("skipping: AVX not available");
-                return;
+    /// `series` with IEEE corner values mixed in, chosen by `seed % 6`:
+    /// none, signed zeros, subnormals, +∞, −∞ or NaN.
+    fn special_series(len: usize, seed: usize) -> Vec<f64> {
+        let corner = [
+            0.0,
+            -0.0,
+            4.9e-324,
+            f64::INFINITY,
+            f64::NEG_INFINITY,
+            f64::NAN,
+        ];
+        let mut x = series(len, seed);
+        for (t, v) in x.iter_mut().enumerate() {
+            if !seed.is_multiple_of(6) && (t * 5 + seed).is_multiple_of(13) {
+                *v = corner[seed % 6];
+                if seed % 6 == 2 {
+                    // A subnormal product, and one that underflows to -0.0.
+                    *v *= if t % 2 == 0 { 1e15 } else { -1.0 };
+                }
             }
-            for len in [
-                0, 1, 2, 15, 16, 17, 31, 32, 33, 63, 64, 65, 255, 256, 257, 1000,
-            ] {
-                let a = series(len, 3);
-                let b = series(len, 5);
-                let portable = dot8_portable(&a, &b);
-                let simd = unsafe { dot8_avx(&a, &b) };
+        }
+        x
+    }
+
+    /// The bodies other than the portable one, each with whether it runs
+    /// on this CPU; a body that does not is reported as skipped.
+    fn simd_bodies() -> Vec<Kernel> {
+        [Kernel::Avx512, Kernel::Avx]
+            .into_iter()
+            .filter(|k| {
+                if !k.runs_here() {
+                    eprintln!("skipping the {} body: this CPU lacks it", k.name());
+                }
+                k.runs_here()
+            })
+            .collect()
+    }
+
+    /// `dot8(a, b)` on the given body, which must run here.
+    fn dot8_on(kernel: Kernel, a: &[f64], b: &[f64]) -> f64 {
+        assert!(kernel.runs_here());
+        match kernel {
+            // SAFETY (both): `runs_here` holds.
+            #[cfg(target_arch = "x86_64")]
+            Kernel::Avx512 => unsafe { dot8_avx512(a, b) },
+            #[cfg(target_arch = "x86_64")]
+            Kernel::Avx => unsafe { dot8_avx(a, b) },
+            _ => dot8_portable(a, b),
+        }
+    }
+
+    #[test]
+    fn dot8_bodies_are_bit_identical() {
+        let lens = [
+            0, 1, 2, 15, 16, 17, 31, 32, 33, 63, 64, 65, 255, 256, 257, 1000,
+        ];
+        for kernel in simd_bodies() {
+            for len in lens {
+                for seed in 0..6 {
+                    let a = special_series(len, seed);
+                    let b = series(len, 5);
+                    let (portable, simd) = (dot8_portable(&a, &b), dot8_on(kernel, &a, &b));
+                    assert!(
+                        same_bits(&[portable], &[simd]),
+                        "{} len {len} seed {seed}: portable={portable} simd={simd}",
+                        kernel.name()
+                    );
+                }
+                // Every product -0.0: each chain, and the tail's running
+                // sum, starts at +0.0, so the sum is +0.0.
+                let (neg_zero, one) = (vec![-0.0; len], vec![1.0; len]);
+                let zero = dot8_on(kernel, &neg_zero, &one);
                 assert_eq!(
-                    portable.to_bits(),
-                    simd.to_bits(),
-                    "len {len}: portable={portable} simd={simd}"
+                    zero.to_bits(),
+                    0.0f64.to_bits(),
+                    "{} len {len}",
+                    kernel.name()
                 );
             }
         }
@@ -860,15 +1191,79 @@ mod tests {
             let a = series(len, 1);
             let b0 = series(len, 2);
             let b1 = series(len, 9);
-            let (d0, d1) = dot8x2(&a, &b0, &b1);
-            assert_eq!(d0.to_bits(), dot8(&a, &b0).to_bits(), "len {len} .0");
-            assert_eq!(d1.to_bits(), dot8(&a, &b1).to_bits(), "len {len} .1");
+            let portable = dot8x2_portable(&a, &b0, &b1);
+            assert_eq!(
+                portable.0.to_bits(),
+                dot8(&a, &b0).to_bits(),
+                "len {len} .0"
+            );
+            assert_eq!(
+                portable.1.to_bits(),
+                dot8(&a, &b1).to_bits(),
+                "len {len} .1"
+            );
             #[cfg(target_arch = "x86_64")]
             if avx_available() {
-                let portable = dot8x2_portable(&a, &b0, &b1);
+                // SAFETY: AVX support was checked just above.
                 let simd = unsafe { dot8x2_avx(&a, &b0, &b1) };
                 assert_eq!(portable.0.to_bits(), simd.0.to_bits(), "len {len} .0");
                 assert_eq!(portable.1.to_bits(), simd.1.to_bits(), "len {len} .1");
+            }
+        }
+    }
+
+    #[test]
+    fn gram_bodies_are_bit_identical() {
+        // Every body, layout and thread count writes the portable body's
+        // bits, corner values included; square layouts keep their stale
+        // lower cells, so those must match too.
+        let bodies = simd_bodies();
+        let ns = [0, 1, 2, 3, 4, 5, 7, 8, 9, 31, 32, 33, 63, 64, 65, 257];
+        for n in ns {
+            for w in [0, 1, 2, 15, 16, 17, 100, 256] {
+                let rows: Vec<f64> = (0..n).flat_map(|i| special_series(w, i)).collect();
+                for layout in [
+                    Layout::Square,
+                    Layout::Packed { include_diag: true },
+                    Layout::Packed {
+                        include_diag: false,
+                    },
+                ] {
+                    let run = |kernel: Kernel, threads: usize| {
+                        cad_runtime::with_thread_override(threads, || {
+                            let mut out = vec![f64::NAN; layout.len(n)];
+                            gram_with(&mut out, &rows, n, w, layout, kernel);
+                            out
+                        })
+                    };
+                    let expect = run(Kernel::Portable, 1);
+                    for &kernel in &bodies {
+                        for threads in [1, 4] {
+                            assert!(
+                                same_bits(&run(kernel, threads), &expect),
+                                "{} body, n={n} w={w} {layout:?}, {threads} thread(s)",
+                                kernel.name()
+                            );
+                        }
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn dot8_row_matches_gram_cells() {
+        for (n, w) in [(0, 16), (1, 17), (5, 16), (9, 100), (70, 33)] {
+            let rows: Vec<f64> = (0..n).flat_map(|i| special_series(w, i)).collect();
+            let mut gram = vec![f64::NAN; n * n];
+            gram_upper_square(&mut gram, &rows, n, w);
+            let mut out = vec![f64::NAN; n];
+            for u in 0..n {
+                dot8_row_into(&rows[u * w..(u + 1) * w], &rows, &mut out);
+                for (v, cell) in out.iter().enumerate() {
+                    let (i, j) = (u.min(v), u.max(v));
+                    assert!(same_bits(&[*cell], &[gram[i * n + j]]), "n={n} ({u},{v})");
+                }
             }
         }
     }
@@ -964,8 +1359,15 @@ mod tests {
         }
     }
 
+    /// Equal bits, signed zeros included, or both NaN. A NaN's payload and
+    /// sign are not part of the arithmetic: where two NaNs meet (say an
+    /// input NaN and the `∞ − ∞` one), x86 keeps the first operand's, and
+    /// LLVM may swap the operands of a commutative add.
     fn same_bits(x: &[f64], y: &[f64]) -> bool {
-        x.len() == y.len() && x.iter().zip(y).all(|(a, b)| a.to_bits() == b.to_bits())
+        x.len() == y.len()
+            && x.iter()
+                .zip(y)
+                .all(|(a, b)| a.to_bits() == b.to_bits() || (a.is_nan() && b.is_nan()))
     }
 
     /// Portable body, AVX body and the dispatched kernel at 1 and 4

@@ -41,7 +41,8 @@ The gated phases last milliseconds at the reduced size, so one run is
 noisy. Given several run reports, the gate compares each metric's median
 over them; ``--write-baseline`` writes that per-metric median report as
 the new baseline instead of gating (how ``results/BENCH_baseline.json`` is
-regenerated, from five runs).
+regenerated, from eleven runs: a five-run median can land low enough to
+fail its own commit).
 
 Tolerance is 25% by default (CI runners are noisy; the regressions these
 gates are for are 2–4×) and can be overridden via ``CAD_PERF_GATE_TOL``.
