@@ -1,9 +1,7 @@
 //! Criterion micro-benchmarks for the per-round cost drivers:
 //!
 //! * `tsg_build/{n}` — correlation k-NN graph construction (the O(n²·w)
-//!   part of Algorithm 1); n = 2 048 is the widest network built from the
-//!   matrix, and n = 2 049 is past that limit, where the builder computes
-//!   one correlation row per vertex instead;
+//!   part of Algorithm 1), up to n = 2 048 sensors;
 //! * `louvain/{n}` — Phase 1 community detection;
 //! * `cad_round/{n}` — one full `push_window` (the paper's TPR, Table VII
 //!   and Fig. 6's right panel);
@@ -34,7 +32,7 @@ fn k_for(n: usize) -> usize {
 
 fn bench_tsg_build(c: &mut Criterion) {
     let mut group = c.benchmark_group("tsg_build");
-    for n in [26usize, 51, 143, 406, 2048, 2049] {
+    for n in [26usize, 51, 143, 406, 2048] {
         if n > 406 {
             // A 2 048-sensor build takes ~30 ms; ten samples keep the group short.
             group.sample_size(10);

@@ -1,19 +1,20 @@
 //! CAD hyper-parameters (Table I / §VI-H).
 
-use cad_graph::{CorrelationKind, KnnConfig, LouvainConfig};
+use cad_graph::{KnnConfig, LouvainConfig};
 use cad_mts::WindowSpec;
 
-/// Which round engine builds each round's TSG (see `cad_core::engine`).
+/// Which round engine builds each round's TSG.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum EngineChoice {
     /// Recompute the correlation structure from scratch every round —
-    /// O(n²·w). The oracle; always valid.
+    /// O(n²·w). The oracle; always valid. Under a masked [`GapPolicy`]
+    /// this is a fresh pairwise-deletion rebuild of the window each round.
     #[default]
     Exact,
     /// Maintain sliding co-moment sums, updated by the `s` incoming and
     /// `s` retiring points — O(n²·s) per round. An exact rebuild runs
     /// every `rebuild_every` rounds to re-anchor the sums and bound
-    /// floating-point drift. Requires Pearson correlation.
+    /// floating-point drift.
     Incremental {
         /// Exact-rebuild period `R ≥ 1` (1 degenerates to `Exact`).
         rebuild_every: usize,
@@ -142,7 +143,6 @@ pub struct CadConfigBuilder {
     s: usize,
     k: usize,
     tau: f64,
-    correlation: CorrelationKind,
     theta: f64,
     eta: f64,
     rc_horizon: Option<usize>,
@@ -161,7 +161,6 @@ impl CadConfigBuilder {
             s: 8,
             k: (n_sensors / 4).clamp(2, 50),
             tau: 0.5,
-            correlation: CorrelationKind::Pearson,
             theta: 0.3,
             eta: 3.0,
             rc_horizon: None,
@@ -196,13 +195,6 @@ impl CadConfigBuilder {
     /// Correlation threshold τ.
     pub fn tau(mut self, tau: f64) -> Self {
         self.tau = tau;
-        self
-    }
-
-    /// Correlation coefficient for the TSG edges (Pearson by default, as
-    /// in the paper; Spearman is the robust ablation variant).
-    pub fn correlation(mut self, kind: CorrelationKind) -> Self {
-        self.correlation = kind;
         self
     }
 
@@ -253,27 +245,14 @@ impl CadConfigBuilder {
     pub fn build(self) -> CadConfig {
         assert!((0.0..=1.0).contains(&self.theta), "theta must be in [0,1]");
         assert!(self.eta > 0.0, "eta must be positive");
-        if self.gap_policy.is_masked() {
-            assert!(
-                self.correlation == CorrelationKind::Pearson,
-                "masked gap policies support Pearson correlation only \
-                 (rank correlation is undefined under pairwise deletion)"
-            );
-        }
         if let EngineChoice::Incremental { rebuild_every } = self.engine {
             assert!(rebuild_every >= 1, "rebuild period must be at least 1");
-            assert!(
-                self.correlation == CorrelationKind::Pearson,
-                "the incremental engine supports Pearson correlation only \
-                 (Spearman ranks change wholesale each window)"
-            );
         }
         CadConfig {
             window: WindowSpec::new(self.w, self.s),
-            knn: KnnConfig::with_kind(
+            knn: KnnConfig::new(
                 self.k.min(self.n_sensors.saturating_sub(1)).max(1),
                 self.tau,
-                self.correlation,
             ),
             theta: self.theta,
             eta: self.eta,
@@ -297,18 +276,6 @@ mod tests {
         assert_eq!(c.eta, 3.0);
         assert_eq!(c.knn.tau, 0.5);
         assert_eq!(c.knn.k, 10); // 40/4
-    }
-
-    #[test]
-    fn correlation_kind_flows_through() {
-        let c = CadConfig::builder(8)
-            .correlation(CorrelationKind::Spearman)
-            .build();
-        assert_eq!(c.knn.kind, CorrelationKind::Spearman);
-        assert_eq!(
-            CadConfig::builder(8).build().knn.kind,
-            CorrelationKind::Pearson
-        );
     }
 
     #[test]
@@ -360,15 +327,6 @@ mod tests {
                 rebuild_every: EngineChoice::DEFAULT_REBUILD_EVERY
             }
         );
-    }
-
-    #[test]
-    #[should_panic(expected = "Pearson correlation only")]
-    fn incremental_rejects_spearman() {
-        CadConfig::builder(4)
-            .correlation(CorrelationKind::Spearman)
-            .engine(EngineChoice::incremental())
-            .build();
     }
 
     #[test]

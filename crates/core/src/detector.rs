@@ -15,7 +15,7 @@ use cad_stats::RunningStats;
 
 use crate::coappearance::{outlier_variations, CoappearanceTracker};
 use crate::config::CadConfig;
-use crate::engine::{Engine, RoundEngine};
+use crate::engine::Engine;
 use crate::explain::ExplainJournal;
 use crate::result::{Anomaly, DetectionResult, RoundRecord};
 

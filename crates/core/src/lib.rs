@@ -49,7 +49,7 @@
 pub mod coappearance;
 pub mod config;
 pub mod detector;
-pub mod engine;
+pub(crate) mod engine;
 pub mod explain;
 pub(crate) mod metrics;
 pub mod replay;
@@ -60,7 +60,6 @@ pub mod stream;
 pub use coappearance::CoappearanceTracker;
 pub use config::{CadConfig, CadConfigBuilder, EngineChoice, GapPolicy};
 pub use detector::{CadDetector, RoundOutcome};
-pub use engine::{ExactEngine, IncrementalEngine, RoundEngine};
 // `explain::RoundRecord` stays module-scoped: `result::RoundRecord` (the
 // batch report row) already owns the top-level name.
 pub use explain::ExplainJournal;

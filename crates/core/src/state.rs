@@ -10,7 +10,7 @@
 
 use std::io::{self, BufRead, BufReader, Read, Write};
 
-use cad_graph::{CorrelationKind, LouvainConfig};
+use cad_graph::LouvainConfig;
 use cad_stats::{MaskedCovState, RunningStats, SlidingCov};
 
 use crate::coappearance::CoappearanceTracker;
@@ -69,12 +69,9 @@ pub fn save_detector<W: Write>(detector: &CadDetector, mut out: W) -> io::Result
     writeln!(out, "n_sensors {}", detector.n_sensors())?;
     writeln!(out, "window {} {}", config.window.w, config.window.s)?;
     writeln!(out, "knn {} {}", config.knn.k, config.knn.tau)?;
-    let kind = match config.knn.kind {
-        CorrelationKind::Pearson => "pearson",
-        CorrelationKind::Spearman => "spearman",
-    };
-    writeln!(out, "kind {kind}")?;
-    // The TSG is built one way; the line stays so v3 files keep one layout.
+    // Edges are weighed one way and the TSG is built one way; the lines
+    // stay so v3 files keep one layout.
+    writeln!(out, "kind pearson")?;
     writeln!(out, "strategy exact")?;
     writeln!(out, "theta {}", config.theta)?;
     writeln!(out, "eta {}", config.eta)?;
@@ -125,7 +122,13 @@ pub fn save_detector<W: Write>(detector: &CadDetector, mut out: W) -> io::Result
         let row: Vec<String> = row.iter().map(|v| v.to_string()).collect();
         writeln!(out, "h {}", row.join(" "))?;
     }
-    if let Some(engine) = detector.engine().as_incremental() {
+    // The same test `load_detector` makes: a masked exact detector runs on
+    // the accumulator too, but its state is rebuilt every round.
+    if let EngineChoice::Incremental { .. } = config.engine {
+        let engine = detector
+            .engine()
+            .accumulator()
+            .expect("config built an incremental engine");
         if engine.is_masked() {
             match engine.persist_parts_masked() {
                 None => writeln!(out, "engine_state none")?,
@@ -230,11 +233,15 @@ pub fn load_detector<R: Read>(input: R) -> Result<CadDetector, StateError> {
     let mut it = knn.split_whitespace();
     let k: usize = parse(it.next().unwrap_or(""), "k")?;
     let tau: f64 = parse(it.next().unwrap_or(""), "tau")?;
-    let kind = match lines.expect("kind")? {
-        "pearson" => CorrelationKind::Pearson,
-        "spearman" => CorrelationKind::Spearman,
+    match lines.expect("kind")? {
+        "pearson" => {}
+        "spearman" => {
+            return Err(fmt_err(
+                "Spearman correlation was removed; this state needs Pearson",
+            ))
+        }
         other => return Err(fmt_err(format!("unknown correlation kind {other:?}"))),
-    };
+    }
     match lines.expect("strategy")? {
         "exact" => {}
         other if other.starts_with("hnsw") => {
@@ -311,7 +318,6 @@ pub fn load_detector<R: Read>(input: R) -> Result<CadDetector, StateError> {
         .window(w, s)
         .k(k)
         .tau(tau)
-        .correlation(kind)
         .theta(theta)
         .eta(eta)
         .rc_horizon(rc_horizon)
@@ -365,7 +371,7 @@ pub fn load_detector<R: Read>(input: R) -> Result<CadDetector, StateError> {
             };
             detector
                 .engine_mut()
-                .as_incremental_mut()
+                .accumulator_mut()
                 .expect("config built an incremental engine")
                 .restore_masked(rounds_since_rebuild, state, prev);
         } else if state_line != "none" {
@@ -387,7 +393,7 @@ pub fn load_detector<R: Read>(input: R) -> Result<CadDetector, StateError> {
             let cov = SlidingCov::from_state(n_sensors, w, anchors, s1, s2, sxy, true);
             detector
                 .engine_mut()
-                .as_incremental_mut()
+                .accumulator_mut()
                 .expect("config built an incremental engine")
                 .restore(rounds_since_rebuild, cov, prev);
         }
@@ -624,7 +630,6 @@ mod tests {
             .tau(0.45)
             .theta(0.31)
             .eta(2.5)
-            .correlation(CorrelationKind::Spearman)
             .rc_horizon(None)
             .build();
         let det = CadDetector::new(4, config.clone());
@@ -658,6 +663,46 @@ mod tests {
         match load_detector(old.as_bytes()) {
             Err(StateError::Format(m)) => {
                 assert!(m.contains("HNSW TSG construction was removed"), "{m}")
+            }
+            other => panic!("expected a format error, got {other:?}"),
+        }
+    }
+
+    /// A masked exact detector's state exactly as the last writer with a
+    /// separate exact-engine type wrote it (six rounds of `config()` under
+    /// `GapPolicy::Skip`): no `engine_state` section.
+    const MASKED_EXACT_STATE: &str = "cad-state v3\nn_sensors 4\nwindow 32 8\n\
+        knn 1 0.3\nkind pearson\nstrategy exact\ntheta 0.2\neta 3\nrc_horizon 6\n\
+        louvain 16 0.0000001\nengine exact\ngap_policy 1 0\nstats 6 0 0\nprev_outliers \n\
+        warmup_until 0 0 0 0\ntracker_rounds 6\nprev_partition 0 0 1 1\n\
+        cumulative 6 6 6 6\nhistory 6\nh 1 1 1 1\nh 1 1 1 1\nh 1 1 1 1\nh 1 1 1 1\n\
+        h 1 1 1 1\nh 1 1 1 1\n";
+
+    #[test]
+    fn masked_exact_state_loads_and_saves_identically() {
+        let mut restored = load_detector(MASKED_EXACT_STATE.as_bytes()).expect("load");
+        let mut want = config();
+        want.gap_policy = GapPolicy::Skip;
+        assert_eq!(restored.config(), &want);
+        let mut buf = Vec::new();
+        save_detector(&restored, &mut buf).expect("save");
+        assert_eq!(String::from_utf8(buf).unwrap(), MASKED_EXACT_STATE);
+        // Still none once the accumulator under it is primed.
+        let data = mts(200);
+        let spec = restored.config().window;
+        for r in 0..spec.rounds(data.len()) {
+            restored.push_window(&data, spec.start(r));
+        }
+        let mut buf = Vec::new();
+        save_detector(&restored, &mut buf).expect("save");
+        let text = String::from_utf8(buf).unwrap();
+        assert!(!text.contains("engine_state"), "{text}");
+        assert!(load_detector(text.as_bytes()).is_ok());
+        // Edges are weighed by Pearson only.
+        let old = MASKED_EXACT_STATE.replace("kind pearson", "kind spearman");
+        match load_detector(old.as_bytes()) {
+            Err(StateError::Format(m)) => {
+                assert!(m.contains("Spearman correlation was removed"), "{m}")
             }
             other => panic!("expected a format error, got {other:?}"),
         }

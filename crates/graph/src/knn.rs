@@ -13,7 +13,9 @@
 //! stronger than the k-th pick, and a sort of the few cells at or above
 //! it finishes the selection (O(n) per vertex plus that sort). The paper
 //! cites an approximate index for an O(n log n) bound; this builder is
-//! exact at every n (see DESIGN.md substitution #3).
+//! exact at every n (see DESIGN.md substitution #3), and it takes the
+//! matrix at every n: 8·n² bytes, 12.8 MB at the widest dataset's 1 266
+//! sensors.
 //!
 //! Every parallel stage follows the `cad-runtime` determinism contract:
 //! per-pair/per-vertex results are pure and placed by index, so the TSG is
@@ -21,21 +23,9 @@
 
 use cad_mts::{Mts, WindowSource};
 use cad_runtime::Timer;
-use cad_stats::correlation::{pearson_matrix_into, pearson_row_into, znorm_in_place};
-use cad_stats::rank_correlation::fractional_ranks;
+use cad_stats::correlation::{pearson_matrix_into, znorm_in_place};
 
 use crate::weighted::WeightedGraph;
-
-/// Which correlation coefficient weighs the TSG edges.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum CorrelationKind {
-    /// Pearson product-moment correlation — the paper's choice (§III-B).
-    #[default]
-    Pearson,
-    /// Spearman rank correlation — a robust variant that ignores monotone
-    /// distortions and single-point spikes (ablation option).
-    Spearman,
-}
 
 /// TSG construction parameters.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -44,32 +34,19 @@ pub struct KnnConfig {
     pub k: usize,
     /// Correlation threshold τ: edges with |weight| < τ are pruned.
     pub tau: f64,
-    /// Correlation coefficient in use.
-    pub kind: CorrelationKind,
 }
 
 impl KnnConfig {
-    /// Validated constructor (Pearson, as in the paper).
+    /// Validated constructor.
     pub fn new(k: usize, tau: f64) -> Self {
-        Self::with_kind(k, tau, CorrelationKind::Pearson)
-    }
-
-    /// Validated constructor with an explicit correlation kind.
-    pub fn with_kind(k: usize, tau: f64, kind: CorrelationKind) -> Self {
         assert!(k >= 1, "k must be at least 1");
         assert!(
             (0.0..=1.0).contains(&tau),
             "tau must be in [0,1], got {tau}"
         );
-        Self { k, tau, kind }
+        Self { k, tau }
     }
 }
-
-/// Above this vertex count the O(n²) correlation matrix is skipped (its
-/// memory would dominate) and correlations are recomputed per vertex, with
-/// the matrix's arithmetic, so the TSG does not depend on which side of
-/// the limit `n` falls.
-const MATRIX_VERTEX_LIMIT: usize = 2048;
 
 /// Vertices per parallel selection chunk. Fixed, so chunk boundaries —
 /// hence scratch reuse and output placement — never depend on the thread
@@ -301,53 +278,27 @@ impl CorrelationKnn {
         let w = src.w();
         let k = self.config.k.min(n.saturating_sub(1));
         // Phase 1: z-normalise each sensor's window into the scratch
-        // matrix. For Spearman, the window is replaced by its fractional
-        // ranks first — Spearman's ρ is Pearson on ranks, so the dot-product
-        // fast path applies unchanged.
+        // matrix.
         {
             let _t = Timer::start("tsg.normalize");
             self.normalized.clear();
             self.normalized.reserve(n * w);
             for s in 0..n {
                 src.copy_sensor_into(s, &mut self.normalized);
-                let row = &mut self.normalized[s * w..(s + 1) * w];
-                if self.config.kind == CorrelationKind::Spearman {
-                    let ranks = fractional_ranks(row);
-                    row.copy_from_slice(&ranks);
-                }
-                znorm_in_place(row);
+                znorm_in_place(&mut self.normalized[s * w..(s + 1) * w]);
             }
         }
-        // Phase 2: for each vertex pick the k largest |corr| neighbours.
         if k == 0 {
             return WeightedGraph::new(n);
         }
-        // Per-vertex candidate selection is embarrassingly parallel and fans
-        // out across the cad-runtime pool. Each selection is a pure function
-        // of the correlation values placed by vertex index, so the TSG is
-        // bit-identical for every thread count. Typical networks share one
-        // upper-triangle correlation matrix (then funnel through
-        // [`tsg_from_matrix`], the selection path both engines share); very
-        // wide ones recompute rows per vertex to cap memory at O(n·w).
-        if n <= MATRIX_VERTEX_LIMIT {
-            {
-                let _t = Timer::start("tsg.correlation");
-                pearson_matrix_into(&self.normalized, n, w, &mut self.matrix);
-            }
-            return tsg_from_matrix(&self.matrix, n, &self.config);
+        // Phase 2: the upper-triangle correlation matrix, then each
+        // vertex's k largest |corr| neighbours through [`tsg_from_matrix`],
+        // the selection path both engines share.
+        {
+            let _t = Timer::start("tsg.correlation");
+            pearson_matrix_into(&self.normalized, n, w, &mut self.matrix);
         }
-        let (tau, normalized) = (self.config.tau, &self.normalized);
-        let _t = Timer::start("tsg.select");
-        let chunks = cad_runtime::par_map_ranges(n, SELECT_CHUNK, |range| {
-            let mut chunk = ChunkPicks::with_capacity(range.len(), k);
-            let mut row: Vec<f64> = Vec::with_capacity(n);
-            for u in range {
-                pearson_row_into(normalized, n, w, u, &mut row);
-                chunk.push_vertex(&row, k, tau, u);
-            }
-            chunk
-        });
-        assemble(n, &chunks)
+        tsg_from_matrix(&self.matrix, n, &self.config)
     }
 
     /// Convenience: build over the full series.
@@ -695,66 +646,6 @@ mod tests {
             CorrelationKnn::new(KnnConfig::new(4, 0.4)).build_full(&mts)
         });
         assert_eq!(serial, parallel, "TSG must not depend on the thread count");
-    }
-
-    #[test]
-    fn wide_networks_keep_the_matrix_arithmetic() {
-        // Past MATRIX_VERTEX_LIMIT the builder computes one correlation row
-        // per vertex instead of the matrix; the TSG must be the matrix
-        // path's, weights and adjacency order included.
-        use cad_stats::correlation::{pearson_matrix_normalized, znormed};
-        let (n, w) = (MATRIX_VERTEX_LIMIT + 1, 16);
-        let series: Vec<Vec<f64>> = (0..n)
-            .map(|s| {
-                (0..w)
-                    .map(|t| {
-                        ((t as f64) * (0.3 + 0.05 * (s % 7) as f64)).sin()
-                            + 0.1 * (((t * 31 + s * 17) % 13) as f64)
-                    })
-                    .collect()
-            })
-            .collect();
-        let normalized: Vec<f64> = series.iter().flat_map(|r| znormed(r)).collect();
-        let config = KnnConfig::new(4, 0.3);
-        let want = tsg_from_matrix(&pearson_matrix_normalized(&normalized, n, w), n, &config);
-        let got = CorrelationKnn::new(config).build_full(&Mts::from_series(series));
-        assert!(want.n_edges() > n, "too few edges to be meaningful");
-        assert!(got == want, "row-wise TSG differs from the matrix TSG");
-    }
-
-    #[test]
-    fn spearman_kind_survives_spikes() {
-        // A single huge spike on one sensor wrecks its Pearson edge but
-        // not its Spearman edge.
-        let base: Vec<f64> = (0..64).map(|i| (i as f64 * 0.2).sin()).collect();
-        let mut spiked = base.clone();
-        spiked[30] = 1e6;
-        let third: Vec<f64> = base.iter().map(|x| 0.9 * x + 0.1).collect();
-        let mts = Mts::from_series(vec![base, spiked, third]);
-        let mut pearson_b =
-            CorrelationKnn::new(KnnConfig::with_kind(1, 0.8, CorrelationKind::Pearson));
-        let mut spearman_b =
-            CorrelationKnn::new(KnnConfig::with_kind(1, 0.8, CorrelationKind::Spearman));
-        let gp = pearson_b.build_full(&mts);
-        let gs = spearman_b.build_full(&mts);
-        assert!(
-            !gp.has_edge(0, 1),
-            "Pearson edge should be destroyed by the spike"
-        );
-        assert!(gs.has_edge(0, 1), "Spearman edge should survive the spike");
-    }
-
-    #[test]
-    fn spearman_matches_pearson_on_clean_monotone_data() {
-        let mts = blocky_mts();
-        let mut p = CorrelationKnn::new(KnnConfig::with_kind(2, 0.5, CorrelationKind::Pearson));
-        let mut sp = CorrelationKnn::new(KnnConfig::with_kind(2, 0.5, CorrelationKind::Spearman));
-        let gp = p.build_full(&mts);
-        let gs = sp.build_full(&mts);
-        // The block structure is identical under both coefficients.
-        for (u, v) in [(0, 1), (0, 2), (1, 2), (3, 4)] {
-            assert_eq!(gp.has_edge(u, v), gs.has_edge(u, v), "edge ({u},{v})");
-        }
     }
 
     #[test]

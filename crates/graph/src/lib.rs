@@ -7,8 +7,7 @@
 //!
 //! * [`WeightedGraph`] — undirected weighted adjacency-list graph;
 //! * [`knn`] — the correlation k-NN graph builder with τ-pruning. It is
-//!   exact at every network size: one correlation matrix per round, or one
-//!   row per vertex above 2 048 sensors, with the same arithmetic;
+//!   exact at every network size: one correlation matrix per round;
 //! * [`mod@louvain`] — Louvain modularity optimisation (Blondel et al., 2008),
 //!   the paper's chosen community-detection method (O(n log n));
 //! * [`components`] — connected components (used as a sanity oracle for
@@ -20,6 +19,6 @@ pub mod louvain;
 pub mod weighted;
 
 pub use components::connected_components;
-pub use knn::{tsg_from_matrix, CorrelationKind, CorrelationKnn, KnnConfig};
+pub use knn::{tsg_from_matrix, CorrelationKnn, KnnConfig};
 pub use louvain::{louvain, modularity, LouvainConfig, Partition};
 pub use weighted::WeightedGraph;

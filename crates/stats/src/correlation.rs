@@ -3,17 +3,16 @@
 //! The hot path of CAD computes an n×n correlation matrix for every round.
 //! Correlation of two z-normalised vectors is just their dot product divided
 //! by the length, so the TSG builder pre-normalises each sensor's window once
-//! and then takes lane-parallel dot products: the whole matrix
-//! ([`pearson_matrix_into`]) or, for very wide networks, one row at a time
-//! ([`pearson_row_into`]), bit-equal to each other. [`pearson`],
-//! [`pearson_pairwise`] and [`pearson_normalized`] are the sequential
-//! per-pair forms, and the oracles the matrix paths are tested against.
+//! and then takes lane-parallel dot products over the whole matrix
+//! ([`pearson_matrix_into`]). [`pearson`], [`pearson_pairwise`] and
+//! [`pearson_normalized`] are the sequential per-pair forms, and the
+//! oracles the matrix path is tested against.
 
 use cad_runtime::Timer;
 
 use crate::descriptive::mean;
 use crate::finish;
-use crate::tiled::{dot8_row_into, gram_upper_square};
+use crate::tiled::gram_upper_square;
 
 /// Pearson correlation coefficient of two equal-length slices.
 ///
@@ -182,21 +181,6 @@ fn pearson_matrix_with(rows: &[f64], n: usize, w: usize, matrix: &mut Vec<f64>, 
         scale_row(&mut matrix[i * n + i..(i + 1) * n], w as f64, avx);
     }
     finish::mirror_lower(matrix, n);
-}
-
-/// Row `u` of [`pearson_matrix_normalized`] into `out`, without the matrix:
-/// the same `dot8` and the same scaling, so every cell is bit-equal to the
-/// matrix's (`dot8` is symmetric in its operands). For networks too wide
-/// to hold the `n × n` matrix.
-pub fn pearson_row_into(rows: &[f64], n: usize, w: usize, u: usize, out: &mut Vec<f64>) {
-    assert_eq!(rows.len(), n * w, "rows must be n × w row-major");
-    out.clear();
-    out.resize(n, 0.0);
-    if w < 2 {
-        return;
-    }
-    dot8_row_into(&rows[u * w..(u + 1) * w], rows, out);
-    scale_row(out, w as f64, finish::avx());
 }
 
 /// One exact-path cell: the normalised rows' dot over `w`, clamped.
@@ -399,28 +383,6 @@ mod tests {
         let mut m = vec![f64::NAN; 40];
         pearson_matrix_into(&rows, n, w, &mut m);
         assert_eq!(m, vec![0.0; n * n]);
-        let mut row = vec![f64::NAN; 3];
-        pearson_row_into(&rows, n, w, 2, &mut row);
-        assert_eq!(row, vec![0.0; n]);
-    }
-
-    #[test]
-    fn rows_are_bit_equal_to_matrix_rows() {
-        let w = 33;
-        for n in [1usize, 2, 31, 33, 70] {
-            let (_, normed) = edge_case_rows(n, w);
-            let m = pearson_matrix_normalized(&normed, n, w);
-            let mut row = Vec::new();
-            for u in 0..n {
-                pearson_row_into(&normed, n, w, u, &mut row);
-                assert!(
-                    row.iter()
-                        .zip(&m[u * n..(u + 1) * n])
-                        .all(|(a, b)| a.to_bits() == b.to_bits()),
-                    "n={n}: row {u} differs from the matrix row"
-                );
-            }
-        }
     }
 
     #[test]

@@ -18,7 +18,6 @@ mod finish;
 pub mod masked;
 pub mod periodicity;
 pub mod rank;
-pub mod rank_correlation;
 pub mod running;
 pub mod sampling;
 pub mod sliding;
@@ -26,14 +25,13 @@ pub mod tiled;
 
 pub use correlation::{
     pearson, pearson_matrix_into, pearson_matrix_normalized, pearson_normalized, pearson_pairwise,
-    pearson_row_into, znorm_in_place, znormed,
+    znorm_in_place, znormed,
 };
 pub use descriptive::{mean, median, quantile, stddev, variance};
 pub use ecdf::Ecdf;
 pub use masked::{MaskedCovState, MaskedSlidingCov};
 pub use periodicity::{autocorrelation, estimate_period};
 pub use rank::{average_ranks, rank_descending};
-pub use rank_correlation::{fractional_ranks, spearman};
 pub use running::RunningStats;
 pub use sampling::GaussianSampler;
 pub use sliding::SlidingCov;

@@ -595,29 +595,6 @@ unsafe fn gram_block_avx512<'r, const R: usize>(
     }
 }
 
-/// `out[v] = dot8(a, rows[v])` for each of the `out.len()` contiguous rows
-/// of length `a.len()` in `rows`: one row of the Gram without the matrix,
-/// bit-equal to its cells (`dot8` is symmetric in its operands). The
-/// AVX-512 body runs the Gram's 1 × 4 block.
-pub(crate) fn dot8_row_into(a: &[f64], rows: &[f64], out: &mut [f64]) {
-    let w = a.len();
-    assert_eq!(
-        rows.len(),
-        out.len() * w,
-        "rows must be out.len() × a.len()"
-    );
-    let row = |v: usize| &rows[v * w..(v + 1) * w];
-    match active_kernel() {
-        // SAFETY: the CPU has AVX-512F (runtime detection).
-        #[cfg(target_arch = "x86_64")]
-        Kernel::Avx512 => unsafe { gram_block_avx512([a], row, 0, out.len(), [out]) },
-        _ => out
-            .iter_mut()
-            .enumerate()
-            .for_each(|(v, c)| *c = dot8(a, row(v))),
-    }
-}
-
 /// `j` partners that share one f64×4 register in [`fold_delta_upper`].
 const PARTNERS: usize = 4;
 
@@ -1246,23 +1223,6 @@ mod tests {
                             );
                         }
                     }
-                }
-            }
-        }
-    }
-
-    #[test]
-    fn dot8_row_matches_gram_cells() {
-        for (n, w) in [(0, 16), (1, 17), (5, 16), (9, 100), (70, 33)] {
-            let rows: Vec<f64> = (0..n).flat_map(|i| special_series(w, i)).collect();
-            let mut gram = vec![f64::NAN; n * n];
-            gram_upper_square(&mut gram, &rows, n, w);
-            let mut out = vec![f64::NAN; n];
-            for u in 0..n {
-                dot8_row_into(&rows[u * w..(u + 1) * w], &rows, &mut out);
-                for (v, cell) in out.iter().enumerate() {
-                    let (i, j) = (u.min(v), u.max(v));
-                    assert!(same_bits(&[*cell], &[gram[i * n + j]]), "n={n} ({u},{v})");
                 }
             }
         }
