@@ -13,15 +13,18 @@
 //!   updated by the `s` incoming and `s` retiring points, O(n²·s) per
 //!   round, with an exact rebuild every `R` rounds to bound floating-point
 //!   drift (see `cad_stats::sliding` for the conditioning story). Memory
-//!   is O(n²) sums + O(n·w) window copy. Every engine other than the dense
-//!   exact one is this accumulator: a masked [`EngineChoice::Exact`] is
-//!   the masked accumulator with `R = 1`, a fresh pairwise-deletion
+//!   is O(n²) sums and one packed correlation triangle, plus last round's
+//!   window kept as a ring of `n·w` values. Every engine other than the
+//!   dense exact one is this accumulator: a masked [`EngineChoice::Exact`]
+//!   is the masked accumulator with `R = 1`, a fresh pairwise-deletion
 //!   rebuild every round.
 //!
 //! Batch detection, `push_window` streaming and [`StreamingCad`]
 //! (crate::StreamingCad) ring buffers all funnel through one
 //! engine-driven code path: the detector hands the engine a
-//! [`WindowSource`] and gets a TSG back.
+//! [`WindowSource`] and gets a TSG back. Every engine finishes its round
+//! into a packed [`Triangle`] and selects from it; none builds an `n × n`
+//! matrix.
 //!
 //! ## Continuity
 //!
@@ -31,14 +34,22 @@
 //! `start` values), the engine keeps last round's window and *checks*: the
 //! overlap region must match bit-for-bit. A mismatch — warm-up/detect
 //! boundaries, schedule jumps, a brand-new stream — silently falls back to
-//! an exact rebuild. The check is O(n·w) comparisons, negligible next to
-//! the O(n²·s) update it guards, and makes the engine unconditionally
-//! correct.
+//! an exact rebuild. The check reads the window source's segments in
+//! place, O(n·w) comparisons and no copy, negligible next to the O(n²·s)
+//! update it guards, and makes the engine unconditionally correct.
+//!
+//! The kept window is a ring per sensor with one shared head. A slide
+//! copies the oldest `s` columns out as the retire block and overwrites
+//! them with the `s` incoming ones — `n·s` writes, not an `n·w` copy — and
+//! a rebuild copies the window in linearly. The continuity check, the
+//! column exchange and the rebuild copy are timed as `engine.window`.
 
-use cad_graph::{tsg_from_matrix, CorrelationKnn, KnnConfig, WeightedGraph};
+use std::borrow::Cow;
+
+use cad_graph::{tsg_from_triangle, CorrelationKnn, KnnConfig, WeightedGraph};
 use cad_mts::WindowSource;
 use cad_runtime::Timer;
-use cad_stats::{MaskedCovState, MaskedSlidingCov, SlidingCov};
+use cad_stats::{MaskedCovState, MaskedSlidingCov, SlidingCov, Triangle};
 
 use crate::config::{CadConfig, EngineChoice};
 
@@ -72,10 +83,10 @@ impl CovSlot {
         }
     }
 
-    fn correlation_matrix_into(&self, matrix: &mut Vec<f64>) {
+    fn correlation_triangle_into(&self, tri: &mut Triangle) {
         match self {
-            CovSlot::Dense(c) => c.correlation_matrix_into(matrix),
-            CovSlot::Masked(c) => c.correlation_matrix_into(matrix),
+            CovSlot::Dense(c) => c.correlation_triangle_into(tri),
+            CovSlot::Masked(c) => c.correlation_triangle_into(tri),
         }
     }
 
@@ -99,16 +110,75 @@ pub(crate) struct IncrementalEngine {
     /// and named, timed and counted as the exact engine.
     exact: bool,
     cov: CovSlot,
-    /// Last round's window, row-major n×w: the retire source and the
-    /// bit-for-bit continuity witness.
+    /// Last round's window, one ring of `w` readings per sensor: sensor
+    /// `i`'s reading at time offset `t` (0 = oldest) sits at
+    /// `prev[i·w + (head + t) % w]`. The retire source and the bit-for-bit
+    /// continuity witness.
     prev: Vec<f64>,
+    /// Ring position of every sensor's oldest reading.
+    pub(crate) head: usize,
     primed: bool,
     rounds_since_rebuild: usize,
     // Scratch (not part of the logical state).
-    cur: Vec<f64>,
     incoming: Vec<f64>,
     outgoing: Vec<f64>,
-    matrix: Vec<f64>,
+    triangle: Triangle,
+}
+
+/// A sequence held as two slices, `a ++ b` — a window source's segments
+/// or a ring read from its head.
+type Pieces<'a> = (&'a [f64], &'a [f64]);
+
+/// The `len` items of `pieces` from offset `start`, as two slices.
+fn span<'a>((a, b): Pieces<'a>, start: usize, len: usize) -> Pieces<'a> {
+    if start >= a.len() {
+        let at = start - a.len();
+        (&b[at..at + len], &[])
+    } else {
+        let first = &a[start..(start + len).min(a.len())];
+        (first, &b[..len - first.len()])
+    }
+}
+
+/// Row `i` of `n` rings of `w` readings with head `head`, from its oldest
+/// reading.
+fn ring_row(prev: &[f64], w: usize, head: usize, i: usize) -> Pieces<'_> {
+    let row = &prev[i * w..(i + 1) * w];
+    (&row[head..], &row[..head])
+}
+
+/// Whether two equally long sequences agree, `same` applied to aligned
+/// runs of equal length.
+fn pieces_agree(x: Pieces, y: Pieces, same: impl Fn(&[f64], &[f64]) -> bool) -> bool {
+    let ((mut x0, mut x1), (mut y0, mut y1)) = (x, y);
+    loop {
+        if x0.is_empty() {
+            if x1.is_empty() {
+                return true;
+            }
+            (x0, x1) = (x1, &[]);
+        }
+        if y0.is_empty() {
+            (y0, y1) = (y1, &[]);
+        }
+        let m = x0.len().min(y0.len());
+        if !same(&x0[..m], &y0[..m]) {
+            return false;
+        }
+        (x0, y0) = (&x0[m..], &y0[m..]);
+    }
+}
+
+/// Whether `same` holds for every pair of lanes of the equally long `a`
+/// and `b`: eight lanes per step with no branch between them, so the
+/// comparison vectorises.
+fn lanes_agree(a: &[f64], b: &[f64], same: impl Fn(f64, f64) -> bool) -> bool {
+    let (xa, xb) = (a.chunks_exact(8), b.chunks_exact(8));
+    let tail = xa.remainder().iter().zip(xb.remainder());
+    tail.fold(true, |ok, (&p, &q)| ok & same(p, q))
+        && xa
+            .zip(xb)
+            .all(|(x, y)| x.iter().zip(y).fold(true, |ok, (&p, &q)| ok & same(p, q)))
 }
 
 impl IncrementalEngine {
@@ -134,17 +204,22 @@ impl IncrementalEngine {
                 CovSlot::Dense(SlidingCov::new(n_sensors, w))
             },
             prev: Vec::new(),
+            head: 0,
             primed: false,
             rounds_since_rebuild: 0,
-            cur: Vec::new(),
             incoming: Vec::new(),
             outgoing: Vec::new(),
-            matrix: Vec::new(),
+            triangle: Triangle::new(),
         }
     }
 
-    /// Whether the new window (`cur`) is the previous one advanced by
-    /// `step`: the overlap must match bit-for-bit per sensor.
+    /// Sensor `i`'s kept window from its oldest reading.
+    fn ring(&self, i: usize) -> Pieces<'_> {
+        ring_row(&self.prev, self.w, self.head, i)
+    }
+
+    /// Whether `window` is the kept one advanced by `step`: the overlap
+    /// must match bit-for-bit per sensor, read from the source in place.
     ///
     /// The masked path compares raw bit patterns, because the overlap may
     /// legitimately contain NaN and `NaN != NaN` would force a rebuild
@@ -152,31 +227,73 @@ impl IncrementalEngine {
     /// path keeps plain `==` (NaN never enters it; `GapPolicy::Fail`
     /// rejects NaN at the push boundary) — preserving the historical
     /// behavior bit for bit.
-    fn is_continuation(&self) -> bool {
-        if !self.primed || self.prev.len() != self.cur.len() {
+    fn is_continuation(&self, window: &dyn WindowSource) -> bool {
+        match &self.cov {
+            CovSlot::Dense(_) => self.overlap_agrees(window, |a, b| a == b),
+            CovSlot::Masked(_) => self.overlap_agrees(window, |a, b| a.to_bits() == b.to_bits()),
+        }
+    }
+
+    /// Whether `same` holds between every overlap reading of `window` and
+    /// the kept one it should repeat.
+    fn overlap_agrees(&self, window: &dyn WindowSource, same: impl Fn(f64, f64) -> bool) -> bool {
+        if !self.primed {
             return false;
         }
         let (w, s) = (self.w, self.step);
-        let n = self.cov.n_sensors();
         let overlap = w - s.min(w);
-        match &self.cov {
-            CovSlot::Dense(_) => (0..n)
-                .all(|i| self.cur[i * w..i * w + overlap] == self.prev[i * w + s..(i + 1) * w]),
-            CovSlot::Masked(_) => (0..n).all(|i| {
-                self.cur[i * w..i * w + overlap]
-                    .iter()
-                    .zip(&self.prev[i * w + s..(i + 1) * w])
-                    .all(|(a, b)| a.to_bits() == b.to_bits())
-            }),
+        (0..self.cov.n_sensors()).all(|i| {
+            let new = span(window.segments(i), 0, overlap);
+            pieces_agree(new, span(self.ring(i), s, overlap), |a, b| {
+                lanes_agree(a, b, &same)
+            })
+        })
+    }
+
+    /// Copy every sensor's oldest `step` readings out as the retire block
+    /// and the window's newest `step` in as the incoming one, then
+    /// overwrite the first with the second in the ring.
+    fn exchange_columns(&mut self, window: &dyn WindowSource) {
+        let (w, s, head) = (self.w, self.step, self.head);
+        let (incoming, outgoing) = (&mut self.incoming, &mut self.outgoing);
+        incoming.clear();
+        outgoing.clear();
+        for i in 0..self.cov.n_sensors() {
+            let (a, b) = span(ring_row(&self.prev, w, head, i), 0, s);
+            outgoing.extend_from_slice(a);
+            outgoing.extend_from_slice(b);
+            let (a, b) = span(window.segments(i), w - s, s);
+            incoming.extend_from_slice(a);
+            incoming.extend_from_slice(b);
         }
+        let first = (w - head).min(s);
+        for (row, cols) in self.prev.chunks_exact_mut(w).zip(incoming.chunks_exact(s)) {
+            row[head..head + first].copy_from_slice(&cols[..first]);
+            row[..s - first].copy_from_slice(&cols[first..]);
+        }
+        self.head = (head + s) % w;
+    }
+
+    /// Last round's window in time order, row-major `n × w`.
+    fn window_in_time_order(&self) -> Cow<'_, [f64]> {
+        if self.head == 0 {
+            return Cow::Borrowed(&self.prev);
+        }
+        let mut rows = Vec::with_capacity(self.prev.len());
+        for i in 0..self.cov.n_sensors() {
+            let (a, b) = self.ring(i);
+            rows.extend_from_slice(a);
+            rows.extend_from_slice(b);
+        }
+        Cow::Owned(rows)
     }
 
     /// Persistence view: `(rounds_since_rebuild, cov, prev_window)` once
     /// the engine has processed at least one round (dense path only).
-    pub(crate) fn persist_parts(&self) -> Option<(usize, &SlidingCov, &[f64])> {
+    pub(crate) fn persist_parts(&self) -> Option<(usize, &SlidingCov, Cow<'_, [f64]>)> {
         match &self.cov {
             CovSlot::Dense(cov) if self.primed => {
-                Some((self.rounds_since_rebuild, cov, self.prev.as_slice()))
+                Some((self.rounds_since_rebuild, cov, self.window_in_time_order()))
             }
             _ => None,
         }
@@ -184,12 +301,12 @@ impl IncrementalEngine {
 
     /// Persistence view of the masked path: `(rounds_since_rebuild,
     /// masked-cov state, prev_window)` once primed.
-    pub(crate) fn persist_parts_masked(&self) -> Option<(usize, MaskedCovState, &[f64])> {
+    pub(crate) fn persist_parts_masked(&self) -> Option<(usize, MaskedCovState, Cow<'_, [f64]>)> {
         match &self.cov {
             CovSlot::Masked(cov) if self.primed => Some((
                 self.rounds_since_rebuild,
                 cov.to_state(),
-                self.prev.as_slice(),
+                self.window_in_time_order(),
             )),
             _ => None,
         }
@@ -211,6 +328,7 @@ impl IncrementalEngine {
         assert!(cov.is_primed(), "restored engine state must be primed");
         self.cov = CovSlot::Dense(cov);
         self.prev = prev;
+        self.head = 0;
         self.primed = true;
         self.rounds_since_rebuild = rounds_since_rebuild;
     }
@@ -228,6 +346,7 @@ impl IncrementalEngine {
         assert!(cov.is_primed(), "restored engine state must be primed");
         self.cov = CovSlot::Masked(cov);
         self.prev = prev;
+        self.head = 0;
         self.primed = true;
         self.rounds_since_rebuild = rounds_since_rebuild;
     }
@@ -246,27 +365,25 @@ impl IncrementalEngine {
             "engine.incremental"
         });
         let n = self.cov.n_sensors();
-        let (w, s) = (self.w, self.step);
         assert_eq!(window.n_sensors(), n, "sensor count mismatch");
-        assert_eq!(window.w(), w, "window length mismatch");
-        // Materialise the window contiguously: rebuilds, the continuity
-        // check and next round's retire source all want plain rows.
-        self.cur.clear();
-        self.cur.reserve(n * w);
-        for i in 0..n {
-            window.copy_sensor_into(i, &mut self.cur);
-        }
-        let slide_ok = self.rounds_since_rebuild + 1 < self.rebuild_every && self.is_continuation();
-        if slide_ok {
-            self.incoming.clear();
-            self.outgoing.clear();
-            for i in 0..n {
-                self.incoming
-                    .extend_from_slice(&self.cur[i * w + (w - s)..(i + 1) * w]);
-                self.outgoing
-                    .extend_from_slice(&self.prev[i * w..i * w + s]);
+        assert_eq!(window.w(), self.w, "window length mismatch");
+        let slide_ok = {
+            let _t = Timer::start("engine.window");
+            let ok =
+                self.rounds_since_rebuild + 1 < self.rebuild_every && self.is_continuation(window);
+            if ok {
+                self.exchange_columns(window);
+            } else {
+                self.prev.clear();
+                for i in 0..n {
+                    window.copy_sensor_into(i, &mut self.prev);
+                }
+                self.head = 0;
             }
-            self.cov.slide(&self.incoming, &self.outgoing, s);
+            ok
+        };
+        if slide_ok {
+            self.cov.slide(&self.incoming, &self.outgoing, self.step);
             self.rounds_since_rebuild += 1;
             crate::metrics::incremental_slides_total().inc();
         } else {
@@ -278,18 +395,18 @@ impl IncrementalEngine {
                     rounds_since_rebuild: self.rounds_since_rebuild as u64,
                 });
             }
-            self.cov.rebuild(&self.cur);
+            self.cov.rebuild(&self.prev);
             self.rounds_since_rebuild = 0;
         }
-        std::mem::swap(&mut self.prev, &mut self.cur);
         self.primed = true;
-        self.cov.correlation_matrix_into(&mut self.matrix);
-        tsg_from_matrix(&self.matrix, n, &self.knn)
+        self.cov.correlation_triangle_into(&mut self.triangle);
+        tsg_from_triangle(&self.triangle, &self.knn)
     }
 
     /// Drop all cross-round state (the stream is starting over).
     pub(crate) fn reset(&mut self) {
         self.prev.clear();
+        self.head = 0;
         self.primed = false;
         self.rounds_since_rebuild = 0;
         self.cov = match &self.cov {
@@ -571,14 +688,152 @@ mod tests {
                     }
                     let mut cov = MaskedSlidingCov::new(n, w);
                     cov.rebuild(&rows);
-                    let mut matrix = Vec::new();
-                    cov.correlation_matrix_into(&mut matrix);
-                    let want = tsg_from_matrix(&matrix, n, &knn);
+                    let mut tri = Triangle::new();
+                    cov.correlation_triangle_into(&mut tri);
+                    let want = tsg_from_triangle(&tri, &knn);
                     assert!(got == want, "{gap_policy:?} n={n} start {start}");
                     edges += got.n_edges();
                 }
             }
             assert!(edges > 0, "every graph was empty");
+        }
+    }
+
+    /// An [`Mts`] window served as two segments cut at `cut`, the way a
+    /// streaming ring hands its window over.
+    struct Split<'a> {
+        data: &'a Mts,
+        start: usize,
+        w: usize,
+        cut: usize,
+    }
+
+    impl WindowSource for Split<'_> {
+        fn n_sensors(&self) -> usize {
+            self.data.n_sensors()
+        }
+
+        fn w(&self) -> usize {
+            self.w
+        }
+
+        fn segments(&self, s: usize) -> (&[f64], &[f64]) {
+            let row = self.data.sensor_window(s, self.start, self.w);
+            row.split_at(self.cut)
+        }
+    }
+
+    /// The window's rows in time order, row-major.
+    fn rows_of(src: &dyn WindowSource) -> Vec<f64> {
+        let mut rows = Vec::new();
+        for i in 0..src.n_sensors() {
+            src.copy_sensor_into(i, &mut rows);
+        }
+        rows
+    }
+
+    fn same_bits(a: &[f64], b: &[f64]) -> bool {
+        a.len() == b.len() && a.iter().zip(b).all(|(x, y)| x.to_bits() == y.to_bits())
+    }
+
+    #[test]
+    fn ring_slides_at_every_step_from_one_to_w() {
+        // Dense against the exact builder, masked against a fresh masked
+        // rebuild, at s = 1, a step that does not divide w, and s = w;
+        // sources arrive cut at shifting points. Every round must slide,
+        // and the ring must hold the window in time order.
+        let w = 24;
+        let knn = KnnConfig::new(2, 0.3);
+        for s in [1, 7, w] {
+            for gap_policy in [GapPolicy::Fail, GapPolicy::Skip] {
+                let n = 6;
+                let data = match gap_policy {
+                    GapPolicy::Fail => mts(n, 300),
+                    _ => holed(n, 300, n, 0),
+                };
+                let engine = EngineChoice::Incremental {
+                    rebuild_every: 1000,
+                };
+                let cfg = config(knn, n, (w, s), engine, gap_policy);
+                let mut inc = IncrementalEngine::new(&cfg, n);
+                for r in 0..(300 - w) / s + 1 {
+                    let start = r * s;
+                    let src = Split {
+                        data: &data,
+                        start,
+                        w,
+                        cut: (r * 5) % (w + 1),
+                    };
+                    let got = inc.build_tsg(&src);
+                    let ctx = format!("s={s} {gap_policy:?} round {r}");
+                    assert_eq!(inc.rounds_since_rebuild, r, "{ctx}: must slide");
+                    assert_eq!(inc.head, (r * s) % w, "{ctx}: ring head");
+                    assert!(
+                        same_bits(&inc.window_in_time_order(), &rows_of(&src)),
+                        "{ctx}"
+                    );
+                    let want = if inc.is_masked() {
+                        let mut cov = MaskedSlidingCov::new(n, w);
+                        cov.rebuild(&rows_of(&src));
+                        let mut tri = Triangle::new();
+                        cov.correlation_triangle_into(&mut tri);
+                        tsg_from_triangle(&tri, &knn)
+                    } else {
+                        CorrelationKnn::new(knn).build_from_source(&src)
+                    };
+                    assert_graphs_match(&want, &got, 1e-9, &ctx);
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn a_turned_ring_persists_the_bytes_of_a_head_zero_engine() {
+        // After slides the ring's head is not 0, yet the persisted window
+        // is in time order: an engine restored from it (head 0) persists
+        // the same bytes and keeps sliding to the same graphs.
+        let (n, w, s) = (5, 20, 6);
+        let knn = KnnConfig::new(2, 0.2);
+        for gap_policy in [GapPolicy::Fail, GapPolicy::Skip] {
+            let data = match gap_policy {
+                GapPolicy::Fail => mts(n, 200),
+                _ => holed(n, 200, n, 0),
+            };
+            let engine = EngineChoice::Incremental { rebuild_every: 50 };
+            let cfg = config(knn, n, (w, s), engine, gap_policy);
+            let mut turned = IncrementalEngine::new(&cfg, n);
+            for r in 0..3 {
+                turned.build_tsg(&data.window(r * s, w));
+            }
+            assert_ne!(turned.head, 0, "{gap_policy:?}: the ring must have turned");
+            let mut fresh = IncrementalEngine::new(&cfg, n);
+            let saved = match gap_policy {
+                GapPolicy::Fail => {
+                    let (rounds, cov, prev) = turned.persist_parts().expect("primed");
+                    fresh.restore(rounds, cov.clone(), prev.into_owned());
+                    let (_, _, again) = fresh.persist_parts().expect("restored");
+                    assert!(same_bits(
+                        &again,
+                        &turned.persist_parts().expect("primed").2
+                    ));
+                    again.into_owned()
+                }
+                _ => {
+                    let (rounds, st, prev) = turned.persist_parts_masked().expect("primed");
+                    fresh.restore_masked(rounds, st, prev.into_owned());
+                    let (_, _, again) = fresh.persist_parts_masked().expect("restored");
+                    let (_, _, before) = turned.persist_parts_masked().expect("primed");
+                    assert!(same_bits(&again, &before));
+                    again.into_owned()
+                }
+            };
+            assert_eq!(fresh.head, 0);
+            assert!(same_bits(&saved, &rows_of(&data.window(2 * s, w))));
+            for r in 3..8 {
+                let src = data.window(r * s, w);
+                let ctx = format!("{gap_policy:?} round {r}");
+                assert!(turned.build_tsg(&src) == fresh.build_tsg(&src), "{ctx}");
+            }
         }
     }
 }

@@ -144,7 +144,7 @@ pub fn save_detector<W: Write>(detector: &CadDetector, mut out: W) -> io::Result
                     writeln!(out, "pqi {}", join_floats(&st.pqi))?;
                     writeln!(out, "pqj {}", join_floats(&st.pqj))?;
                     writeln!(out, "psxy {}", join_floats(&st.psxy))?;
-                    writeln!(out, "prev_window {}", join_floats(prev_window))?;
+                    writeln!(out, "prev_window {}", join_floats(&prev_window))?;
                 }
             }
         } else {
@@ -157,7 +157,7 @@ pub fn save_detector<W: Write>(detector: &CadDetector, mut out: W) -> io::Result
                     writeln!(out, "s1 {}", join_floats(s1))?;
                     writeln!(out, "s2 {}", join_floats(s2))?;
                     writeln!(out, "sxy {}", join_floats(sxy))?;
-                    writeln!(out, "prev_window {}", join_floats(prev_window))?;
+                    writeln!(out, "prev_window {}", join_floats(&prev_window))?;
                 }
             }
         }
@@ -185,6 +185,22 @@ impl<R: BufRead> Lines<R> {
         Ok(self.buf.trim_end())
     }
 
+    /// Fail on the first non-blank line left: the state ended before it.
+    fn expect_end(&mut self) -> Result<(), StateError> {
+        loop {
+            self.buf.clear();
+            if self.reader.read_line(&mut self.buf)? == 0 {
+                return Ok(());
+            }
+            let line = self.buf.trim();
+            if !line.is_empty() {
+                return Err(fmt_err(format!(
+                    "trailing input after the detector state: {line:?}"
+                )));
+            }
+        }
+    }
+
     /// Read a line expected to start with `key`, returning its payload.
     fn expect(&mut self, key: &str) -> Result<&str, StateError> {
         let line = self.next()?;
@@ -210,7 +226,10 @@ fn parse_list<T: std::str::FromStr>(s: &str, what: &str) -> Result<Vec<T>, State
     s.split_whitespace().map(|tok| parse(tok, what)).collect()
 }
 
-/// Restore a detector previously written by [`save_detector`].
+/// Restore a detector previously written by [`save_detector`]. Any
+/// non-blank line after the last section the configuration calls for is a
+/// [`StateError::Format`] naming it: a state that carries more than its
+/// detector reads is not that detector's.
 pub fn load_detector<R: Read>(input: R) -> Result<CadDetector, StateError> {
     let mut lines = Lines {
         reader: BufReader::new(input),
@@ -398,6 +417,7 @@ pub fn load_detector<R: Read>(input: R) -> Result<CadDetector, StateError> {
                 .restore(rounds_since_rebuild, cov, prev);
         }
     }
+    lines.expect_end()?;
     Ok(detector)
 }
 
@@ -866,12 +886,58 @@ mod tests {
         assert!(text.contains("engine incremental 50"));
         assert!(text.contains("\nsxy "));
         assert!(text.contains("\nprev_window "));
+        // The ring of the kept window has turned, yet it is saved in time
+        // order: the restored engine (head 0) saves the same bytes.
+        let engine = det.engine().accumulator().expect("incremental engine");
+        assert_ne!(engine.head, 0, "the ring must have turned");
+        let prev = text.lines().find_map(|l| l.strip_prefix("prev_window "));
+        let rows: Vec<f64> = (0..4)
+            .flat_map(|i| data.sensor_window(i, spec.start(half - 1), spec.w).to_vec())
+            .collect();
+        assert_eq!(prev, Some(join_floats(&rows).as_str()));
         let mut restored = load_detector(buf.as_slice()).expect("load");
+        let mut again = Vec::new();
+        save_detector(&restored, &mut again).expect("save");
+        assert_eq!(again, buf, "a head-0 save of the same window");
         for r in half..spec.rounds(data.len()) {
             let a = det.push_window(&data, spec.start(r));
             let b = restored.push_window(&data, spec.start(r));
             assert_eq!(a, b, "round {r}");
         }
+    }
+
+    #[test]
+    fn trailing_input_after_the_detector_fails_by_name() {
+        let trailing = |text: &str| match load_detector(text.as_bytes()) {
+            Err(StateError::Format(m)) => assert!(m.contains("trailing input"), "{m}"),
+            other => panic!("expected a format error, got {other:?}"),
+        };
+        // A saved incremental detector with one extra line.
+        let data = mts(200);
+        let cfg = CadConfig::builder(4)
+            .window(32, 8)
+            .k(1)
+            .tau(0.3)
+            .theta(0.2)
+            .engine(EngineChoice::Incremental { rebuild_every: 50 })
+            .build();
+        let mut det = CadDetector::new(4, cfg);
+        let spec = det.config().window;
+        for r in 0..spec.rounds(data.len()) {
+            det.push_window(&data, spec.start(r));
+        }
+        let mut buf = Vec::new();
+        save_detector(&det, &mut buf).expect("save");
+        let text = String::from_utf8(buf).expect("UTF-8");
+        trailing(&format!("{text}h 1 1 1 1\n"));
+        // A masked exact detector writes no engine state; one appended is
+        // not read as one.
+        trailing(&format!(
+            "{MASKED_EXACT_STATE}engine_state 0\nanchors 0 0 0 0\n"
+        ));
+        // Blank lines after the last section are not input.
+        assert!(load_detector(format!("{text}\n  \n").as_bytes()).is_ok());
+        assert!(load_detector(MASKED_EXACT_STATE.as_bytes()).is_ok());
     }
 
     #[test]
@@ -1039,7 +1105,16 @@ mod tests {
         let text = String::from_utf8(buf.clone()).expect("UTF-8");
         assert!(text.contains("engine_state masked"), "masked engine state");
         assert!(text.contains("\npending 1\n"), "parked tick persisted");
+        let engine = live
+            .detector()
+            .engine()
+            .accumulator()
+            .expect("masked engine");
+        assert_ne!(engine.head, 0, "the ring must have turned");
         let mut restored = load_stream(buf.as_slice()).expect("load stream");
+        let mut again = Vec::new();
+        save_stream(&restored, &mut again).expect("save stream");
+        assert_eq!(again, buf, "a head-0 save of the same window");
         assert_eq!(restored.counters(), live.counters());
         assert_eq!(restored.pending_ticks(), 1);
         assert_eq!(restored.next_seq(), 350);

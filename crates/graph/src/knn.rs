@@ -7,15 +7,18 @@
 //!
 //! The builder pre-z-normalises each sensor's window once, turning every
 //! pairwise correlation into a dot product (O(w)). The exact path then
-//! computes the round's correlation matrix over the upper triangle only —
-//! O(n²/2·w), parallel across the `cad-runtime` pool — and selects each
-//! vertex's top-k from its matrix row: one branch-free scan sets a bar no
-//! stronger than the k-th pick, and a sort of the few cells at or above
-//! it finishes the selection (O(n) per vertex plus that sort). The paper
-//! cites an approximate index for an O(n log n) bound; this builder is
-//! exact at every n (see DESIGN.md substitution #3), and it takes the
-//! matrix at every n: 8·n² bytes, 12.8 MB at the widest dataset's 1 266
-//! sensors.
+//! computes the round's correlations over the upper triangle only —
+//! O(n²/2·w), parallel across the `cad-runtime` pool — into a packed
+//! [`Triangle`] whose finish also keeps, per vertex, the strongest `|ρ|` of
+//! every 8-column block. Selection ([`tsg_from_triangle`]) sets each
+//! vertex's bar from its `n/8` block maxima, no stronger than the k-th
+//! pick, reads cells only in blocks at or above it — upper cells from the
+//! vertex's row, lower cells from its column — and sorts those few
+//! candidates (O(n/8) per vertex plus the blocks it reads and the sort).
+//! The paper cites an approximate index for an O(n log n) bound; this
+//! builder is exact at every n (see DESIGN.md substitution #3). No `n × n`
+//! matrix is built: the triangle and its block maxima take `4·n² + n²`
+//! bytes, 8 MB at the widest dataset's 1 266 sensors.
 //!
 //! Every parallel stage follows the `cad-runtime` determinism contract:
 //! per-pair/per-vertex results are pure and placed by index, so the TSG is
@@ -23,7 +26,8 @@
 
 use cad_mts::{Mts, WindowSource};
 use cad_runtime::Timer;
-use cad_stats::correlation::{pearson_matrix_into, znorm_in_place};
+use cad_stats::correlation::{pearson_triangle_into, znorm_in_place};
+use cad_stats::Triangle;
 
 use crate::weighted::WeightedGraph;
 
@@ -53,47 +57,30 @@ impl KnnConfig {
 /// layout.
 const SELECT_CHUNK: usize = 16;
 
-/// Columns per block of the selection scans: eight independent lanes, so
-/// the scans carry no serial dependency chain and no data-dependent branch
-/// per cell.
-const LANES: usize = 8;
+/// Columns per block of the triangle's block maxima.
+const BLOCK: usize = Triangle::BLOCK;
 
-/// Largest `|ρ|` in `cells`, NaN ignored (−1.0 when every cell is NaN or
-/// `cells` is empty).
-fn strongest(cells: &[f64]) -> f64 {
-    let mut lanes = [-1.0f64; LANES];
-    let mut blocks = cells.chunks_exact(LANES);
-    for block in &mut blocks {
-        for (m, &c) in lanes.iter_mut().zip(block) {
-            let a = c.abs();
-            // A NaN `a` fails the comparison and leaves the lane as is.
-            *m = if a > *m { a } else { *m };
-        }
-    }
+/// Vertex `u`'s strongest `|ρ|` over blocks `blocks`, −1.0 when no block
+/// holds a non-NaN cell.
+fn strongest(tri: &Triangle, u: usize, blocks: std::ops::Range<usize>) -> f64 {
     blocks
-        .remainder()
-        .iter()
-        .map(|&c| c.abs())
-        .chain(lanes)
+        .map(|b| tri.block_max(u, b))
         .fold(-1.0, |m, a| if a > m { a } else { m })
 }
 
-/// A lower bound on the k-th strongest τ-passing, non-self `|ρ|` of the
-/// row: the row is split into `k` disjoint groups of `⌊n/8k⌋·8` columns,
+/// A lower bound on the k-th strongest τ-passing, non-self `|ρ|` of vertex
+/// `u`: its columns are split into `k` disjoint groups of `⌊n/8k⌋` blocks,
 /// and when every group's strongest non-self cell passes τ, the weakest of
 /// those `k` maxima is met or beaten by `k` distinct candidates. Falls
 /// back to `τ` when `n < 8k` or when some group has no passing cell.
-fn selection_bar(correlations: &[f64], k: usize, tau: f64, u: usize) -> f64 {
-    let group = correlations.len() / (LANES * k) * LANES;
+fn selection_bar(tri: &Triangle, k: usize, tau: f64, u: usize) -> f64 {
+    let group = tri.n() / (BLOCK * k);
     if group == 0 {
         return tau;
     }
     let mut bar = f64::INFINITY;
-    for (g, cells) in correlations[..k * group].chunks_exact(group).enumerate() {
-        let best = match u.checked_sub(g * group) {
-            Some(at) if at < group => strongest(&cells[..at]).max(strongest(&cells[at + 1..])),
-            _ => strongest(cells),
-        };
+    for g in 0..k {
+        let best = strongest(tri, u, g * group..(g + 1) * group);
         if best < tau {
             return tau;
         }
@@ -103,45 +90,40 @@ fn selection_bar(correlations: &[f64], k: usize, tau: f64, u: usize) -> f64 {
 }
 
 /// Append the k strongest (by |ρ|) τ-passing neighbours of vertex `u` to
-/// `picks`, strongest first, given the correlations of `u` against every
-/// vertex; ties break toward the lower vertex id so the TSG is fully
-/// deterministic.
+/// `picks`, strongest first; ties break toward the lower vertex id so the
+/// TSG is fully deterministic.
 ///
-/// The exact top-k in three steps, with no per-vertex allocation: a
-/// branch-free scan sets a [`selection_bar`] no stronger than the k-th
-/// pick; one ascending pass appends every non-self cell at or above it
-/// (about a dozen on 256-sensor data with k = 8, τ = 0.5), skipping whole
-/// blocks of eight that hold none; one sort of those candidates by
-/// (`|ρ|.to_bits()` descending, id ascending) and a truncation to k finish
-/// it. The bar is at least τ, so every candidate passes τ; NaN fails every
-/// comparison and is never a candidate. O(n) per vertex plus the sort of
-/// the candidates.
-fn select_neighbors_from_row(
-    correlations: &[f64],
-    k: usize,
-    tau: f64,
-    u: usize,
-    picks: &mut Vec<(f64, usize)>,
-) {
+/// The exact top-k in three steps, with no per-vertex allocation: the
+/// block maxima set a [`selection_bar`] no stronger than the k-th pick;
+/// one ascending pass over the blocks whose maximum reaches it appends
+/// every non-self cell at or above it (about a dozen on 256-sensor data
+/// with k = 8, τ = 0.5); one sort of those candidates by (`|ρ|.to_bits()`
+/// descending, id ascending) and a truncation to k finish it. The bar is
+/// at least τ, so every candidate passes τ; NaN fails every comparison
+/// and is never a candidate.
+fn select_neighbors(tri: &Triangle, k: usize, tau: f64, u: usize, picks: &mut Vec<(f64, usize)>) {
     if k == 0 {
         return;
     }
-    let bar = selection_bar(correlations, k, tau, u);
+    let n = tri.n();
+    let bar = selection_bar(tri, k, tau, u);
     let base = picks.len();
-    let mut take = |from: usize, cells: &[f64]| {
-        for (v, &c) in (from..).zip(cells) {
-            if c.abs() >= bar && v != u {
-                picks.push((c, v));
-            }
+    let row = tri.row(u);
+    let mut take = |c: f64, v: usize| {
+        if c.abs() >= bar {
+            picks.push((c, v));
         }
     };
-    let mut blocks = correlations.chunks_exact(LANES);
-    for (b, block) in (&mut blocks).enumerate() {
-        if block.iter().fold(false, |hit, &c| hit | (c.abs() >= bar)) {
-            take(b * LANES, block);
+    for b in (0..tri.n_blocks()).filter(|&b| tri.block_max(u, b) >= bar) {
+        let (lo, hi) = (b * BLOCK, ((b + 1) * BLOCK).min(n));
+        // Lower cells from column u, then upper cells from row u.
+        for v in lo..hi.min(u) {
+            take(tri.get(v, u), v);
+        }
+        for v in lo.max(u + 1)..hi {
+            take(row[v - u - 1], v);
         }
     }
-    take(correlations.len() / LANES * LANES, blocks.remainder());
     let key = |c: f64| c.abs().to_bits();
     picks[base..].sort_unstable_by(|a, b| key(b.0).cmp(&key(a.0)).then(a.1.cmp(&b.1)));
     picks.truncate(base + k);
@@ -165,9 +147,9 @@ impl ChunkPicks {
         }
     }
 
-    /// Select vertex `u`'s neighbours from its correlation row.
-    fn push_vertex(&mut self, correlations: &[f64], k: usize, tau: f64, u: usize) {
-        select_neighbors_from_row(correlations, k, tau, u, &mut self.picks);
+    /// Select vertex `u`'s neighbours from the triangle.
+    fn push_vertex(&mut self, tri: &Triangle, k: usize, tau: f64, u: usize) {
+        select_neighbors(tri, k, tau, u, &mut self.picks);
         self.bounds.push(self.picks.len());
     }
 
@@ -214,16 +196,14 @@ fn assemble(n: usize, chunks: &[ChunkPicks]) -> WeightedGraph {
     graph
 }
 
-/// TSG assembly from a pre-computed symmetric `n × n` correlation matrix:
-/// per-vertex top-k selection (by |ρ|, ties toward the lower id) with
-/// τ-pruning, fanned out across the `cad-runtime` pool. This is the entry
-/// the incremental round engine uses — its `SlidingCov` accumulator
-/// maintains the matrix across rounds, so TSG construction costs only the
-/// selection, never a correlation rescan. The exact path funnels through
-/// the same function once its matrix is built, so both engines share one
-/// selection code path (and its determinism contract).
-pub fn tsg_from_matrix(matrix: &[f64], n: usize, config: &KnnConfig) -> WeightedGraph {
-    assert_eq!(matrix.len(), n * n, "matrix must be n × n");
+/// TSG assembly from a finished correlation [`Triangle`]: per-vertex top-k
+/// selection (by |ρ|, ties toward the lower id) with τ-pruning, fanned out
+/// across the `cad-runtime` pool. Every engine funnels through it — the
+/// exact path once its Gram is finished, the incremental engines once
+/// their co-moments are — so all share one selection code path (and its
+/// determinism contract).
+pub fn tsg_from_triangle(tri: &Triangle, config: &KnnConfig) -> WeightedGraph {
+    let n = tri.n();
     let k = config.k.min(n.saturating_sub(1));
     if k == 0 {
         return WeightedGraph::new(n);
@@ -233,11 +213,18 @@ pub fn tsg_from_matrix(matrix: &[f64], n: usize, config: &KnnConfig) -> Weighted
     let chunks = cad_runtime::par_map_ranges(n, SELECT_CHUNK, |range| {
         let mut chunk = ChunkPicks::with_capacity(range.len(), k);
         for u in range {
-            chunk.push_vertex(&matrix[u * n..(u + 1) * n], k, tau, u);
+            chunk.push_vertex(tri, k, tau, u);
         }
         chunk
     });
     assemble(n, &chunks)
+}
+
+/// [`tsg_from_triangle`] over the upper triangle of a pre-computed
+/// symmetric row-major `n × n` correlation matrix: an adapter for callers
+/// that hold a full matrix; its diagonal and lower cells are not read.
+pub fn tsg_from_matrix(matrix: &[f64], n: usize, config: &KnnConfig) -> WeightedGraph {
+    tsg_from_triangle(&Triangle::from_matrix(matrix, n), config)
 }
 
 /// Reusable correlation k-NN builder. Holds scratch buffers so per-round
@@ -247,8 +234,8 @@ pub struct CorrelationKnn {
     config: KnnConfig,
     /// Z-normalised windows, row-major `n × w`.
     normalized: Vec<f64>,
-    /// The round's `n × n` correlation matrix.
-    matrix: Vec<f64>,
+    /// The round's correlations.
+    triangle: Triangle,
 }
 
 impl CorrelationKnn {
@@ -257,7 +244,7 @@ impl CorrelationKnn {
         Self {
             config,
             normalized: Vec::new(),
-            matrix: Vec::new(),
+            triangle: Triangle::new(),
         }
     }
 
@@ -291,14 +278,14 @@ impl CorrelationKnn {
         if k == 0 {
             return WeightedGraph::new(n);
         }
-        // Phase 2: the upper-triangle correlation matrix, then each
-        // vertex's k largest |corr| neighbours through [`tsg_from_matrix`],
-        // the selection path both engines share.
+        // Phase 2: the packed correlation triangle, then each vertex's k
+        // largest |corr| neighbours through [`tsg_from_triangle`], the
+        // selection path every engine shares.
         {
             let _t = Timer::start("tsg.correlation");
-            pearson_matrix_into(&self.normalized, n, w, &mut self.matrix);
+            pearson_triangle_into(&self.normalized, n, w, &mut self.triangle);
         }
-        tsg_from_matrix(&self.matrix, n, &self.config)
+        tsg_from_triangle(&self.triangle, &self.config)
     }
 
     /// Convenience: build over the full series.
@@ -339,11 +326,12 @@ mod tests {
         }
     }
 
-    /// Every vertex position worth testing in a row of `n` cells split
-    /// into `k` groups: the first, last and a random column of each group,
-    /// the first group-free column, the last column and one random column.
+    /// Every vertex position worth testing among `n` vertices whose
+    /// columns split into `k` groups: the first, last and a random column
+    /// of each group, the first group-free column, the last column and one
+    /// random column.
     fn probe_positions(n: usize, k: usize, next: &mut impl FnMut() -> u64) -> Vec<usize> {
-        let group = n / (LANES * k) * LANES;
+        let group = n / (BLOCK * k) * BLOCK;
         let mut at = vec![0, n - 1, (next() as usize) % n];
         if group > 0 {
             for g in 0..k {
@@ -357,10 +345,18 @@ mod tests {
         at
     }
 
-    fn assert_selection_matches_oracle(row: &[f64], k: usize, tau: f64, u: usize, ctx: &str) {
+    /// Vertex `u`'s picks from the triangle of the symmetric `matrix`,
+    /// against the sorting oracle over `u`'s full matrix row.
+    fn assert_selection_matches_oracle(
+        matrix: &[f64],
+        tri: &Triangle,
+        (k, tau, u): (usize, f64, usize),
+        ctx: &str,
+    ) {
+        let n = tri.n();
         let mut picks = vec![(9.0, usize::MAX)];
-        select_neighbors_from_row(row, k, tau, u, &mut picks);
-        let expect = reference_selection(row, k, tau, u);
+        select_neighbors(tri, k, tau, u, &mut picks);
+        let expect = reference_selection(&matrix[u * n..(u + 1) * n], k, tau, u);
         assert_eq!(picks.len(), expect.len() + 1, "{ctx}: count");
         assert_eq!(picks[0].1, usize::MAX, "{ctx}: earlier picks disturbed");
         for (got, want) in picks[1..].iter().zip(&expect) {
@@ -372,12 +368,27 @@ mod tests {
         }
     }
 
+    /// A symmetric `n × n` matrix with every upper cell drawn by `cell`
+    /// and mirrored, and a diagonal of 1.0 that selection must skip.
+    fn symmetric(n: usize, mut cell: impl FnMut() -> f64) -> Vec<f64> {
+        let mut m = vec![1.0; n * n];
+        for i in 0..n {
+            for j in i + 1..n {
+                let c = cell();
+                m[i * n + j] = c;
+                m[j * n + i] = c;
+            }
+        }
+        m
+    }
+
     #[test]
-    fn selection_matches_sorting_oracle_bit_for_bit() {
+    fn triangle_selection_matches_sorting_oracle_bit_for_bit() {
         // A coarse value grid forces ties (including ±x and ±0.0 pairs);
-        // NaN cells must never be picked. Rows up to 600 cells with k up
-        // to 16 reach the bar path (n ≥ 8k), with the vertex itself in
-        // every group and in the group-free tail.
+        // NaN cells must never be picked. Up to 600 vertices (many not a
+        // multiple of 8) with k up to 16 reach the bar path (n ≥ 8k), with
+        // the vertex itself in every group and in the group-free tail, so
+        // candidates come from both its row and its column.
         let mut next = xorshift(0x2545_f491_4f6c_dd1d);
         for case in 0..600 {
             let n = match case % 4 {
@@ -385,33 +396,34 @@ mod tests {
                 1 => 8 * (1 + (next() % 75) as usize),
                 _ => 1 + (next() % 600) as usize,
             };
-            let row: Vec<f64> = (0..n)
-                .map(|_| match next() % 10 {
-                    0 => f64::NAN,
-                    1 => -0.0,
-                    2 => 0.0,
-                    r => (next() % 9) as f64 / 8.0 * if r % 2 == 0 { 1.0 } else { -1.0 },
-                })
-                .collect();
+            let matrix = symmetric(n, || match next() % 10 {
+                0 => f64::NAN,
+                1 => -0.0,
+                2 => 0.0,
+                r => (next() % 9) as f64 / 8.0 * if r % 2 == 0 { 1.0 } else { -1.0 },
+            });
+            let tri = Triangle::from_matrix(&matrix, n);
             let k = 1 + (next() % 16) as usize;
             let tau = [0.0, 0.25, 0.5][case % 3];
             for u in probe_positions(n, k, &mut next) {
-                assert_selection_matches_oracle(&row, k, tau, u, &format!("case {case} n={n}"));
+                let ctx = format!("case {case} n={n}");
+                assert_selection_matches_oracle(&matrix, &tri, (k, tau, u), &ctx);
             }
         }
     }
 
     #[test]
-    fn selection_of_uniform_rows_keeps_the_lowest_ids() {
+    fn selection_of_uniform_triangles_keeps_the_lowest_ids() {
         let mut next = xorshift(0x9e37_79b9_7f4a_7c15);
         for value in [0.75, -0.75, 0.25, 0.0, -0.0, f64::NAN] {
             for n in [1usize, 7, 64, 129, 263, 600] {
-                let row = vec![value; n];
+                let matrix = symmetric(n, || value);
+                let tri = Triangle::from_matrix(&matrix, n);
                 for k in [1usize, 3, 8, 16] {
                     for tau in [0.0, 0.25, 0.5] {
                         for u in probe_positions(n, k, &mut next) {
                             let ctx = format!("value={value} n={n}");
-                            assert_selection_matches_oracle(&row, k, tau, u, &ctx);
+                            assert_selection_matches_oracle(&matrix, &tri, (k, tau, u), &ctx);
                         }
                     }
                 }

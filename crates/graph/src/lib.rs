@@ -19,6 +19,6 @@ pub mod louvain;
 pub mod weighted;
 
 pub use components::connected_components;
-pub use knn::{tsg_from_matrix, CorrelationKnn, KnnConfig};
+pub use knn::{tsg_from_matrix, tsg_from_triangle, CorrelationKnn, KnnConfig};
 pub use louvain::{louvain, modularity, LouvainConfig, Partition};
 pub use weighted::WeightedGraph;

@@ -21,7 +21,10 @@
 //!
 //! The thread count comes from [`effective_threads`]: an in-process
 //! override (for A/B benches), else the `CAD_RUNTIME_THREADS` environment
-//! variable, else `std::thread::available_parallelism`.
+//! variable, else `std::thread::available_parallelism`. The override and
+//! the variable keep their per-call meaning; the hardware count is read
+//! once per process and cached, because reading it re-reads the cgroup
+//! files each time.
 //!
 //! A lightweight per-phase timing registry ([`Timer`]/[`PhaseStats`]) lets
 //! the bench reporters serialize where each round's time went.

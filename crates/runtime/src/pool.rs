@@ -9,6 +9,7 @@
 
 use std::ops::Range;
 use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::OnceLock;
 
 /// Environment variable overriding the worker-thread count at every
 /// `cad-runtime` call site. Values `< 1` or unparsable fall back to the
@@ -19,14 +20,22 @@ pub const ENV_THREADS: &str = "CAD_RUNTIME_THREADS";
 /// benches and tests that A/B serial against parallel without re-exec.
 static THREAD_OVERRIDE: AtomicUsize = AtomicUsize::new(0);
 
+/// The hardware thread count, read once per process:
+/// `available_parallelism` re-reads the cgroup files on every call, a cost
+/// every pool call would otherwise pay when no override is set.
 fn hardware_threads() -> usize {
-    std::thread::available_parallelism()
-        .map(|p| p.get())
-        .unwrap_or(1)
+    static HARDWARE: OnceLock<usize> = OnceLock::new();
+    *HARDWARE.get_or_init(|| {
+        std::thread::available_parallelism()
+            .map(|p| p.get())
+            .unwrap_or(1)
+    })
 }
 
 /// The worker-thread count every primitive in this crate uses:
 /// in-process override, else [`ENV_THREADS`], else hardware parallelism.
+/// The override and the variable are read on every call; the hardware
+/// count once per process.
 pub fn effective_threads() -> usize {
     let forced = THREAD_OVERRIDE.load(Ordering::Relaxed);
     if forced >= 1 {

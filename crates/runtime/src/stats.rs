@@ -28,6 +28,7 @@ pub const KNOWN_PHASES: &[&str] = &[
     "core.coappear",
     "engine.exact",
     "engine.incremental",
+    "engine.window",
     "graph.louvain",
     "masked.matrix",
     "masked.rebuild",

@@ -1,18 +1,19 @@
 //! Pearson correlation — the TSG edge weight (§III-B of the paper).
 //!
-//! The hot path of CAD computes an n×n correlation matrix for every round.
+//! The hot path of CAD computes every pair's correlation each round.
 //! Correlation of two z-normalised vectors is just their dot product divided
 //! by the length, so the TSG builder pre-normalises each sensor's window once
-//! and then takes lane-parallel dot products over the whole matrix
-//! ([`pearson_matrix_into`]). [`pearson`], [`pearson_pairwise`] and
+//! and then takes lane-parallel dot products over the packed upper triangle
+//! ([`pearson_triangle_into`]); [`pearson_matrix_into`] is its full-matrix
+//! adapter. [`pearson`], [`pearson_pairwise`] and
 //! [`pearson_normalized`] are the sequential per-pair forms, and the
 //! oracles the matrix path is tested against.
 
 use cad_runtime::Timer;
 
 use crate::descriptive::mean;
-use crate::finish;
-use crate::tiled::gram_upper_square;
+use crate::finish::{self, Triangle};
+use crate::tiled::{dot8, gram_upper_tiled};
 
 /// Pearson correlation coefficient of two equal-length slices.
 ///
@@ -148,39 +149,49 @@ pub fn pearson_matrix_normalized(rows: &[f64], n: usize, w: usize) -> Vec<f64> {
 }
 
 /// [`pearson_matrix_normalized`] into a caller-owned buffer, resized to
-/// `n × n` without a fill pass: every cell is written.
-///
-/// This is the per-round hot path of TSG construction: one tiled `Z·Zᵀ`
-/// Gram (`crate::tiled`: 32×32 upper-triangle tiles, lane-parallel dots,
-/// tile-chunked parallelism) fills the upper triangle in place —
-/// O(n²/2·w) — then each upper row is scaled and clamped, four cells per
-/// AVX register where the CPU has it, and mirrored. Each cell is a pure
-/// function of its pair, so the matrix is bit-identical for every thread
-/// count. The diagonal holds each row's self-correlation (1.0, or 0.0 for
-/// an all-zero row, matching [`pearson`]'s constant-input convention).
+/// `n × n`: an adapter that writes [`pearson_triangle_into`]'s triangle
+/// into the square buffer and mirrors it. The diagonal holds each row's
+/// self-correlation (1.0, or 0.0 for an all-zero row, matching
+/// [`pearson`]'s constant-input convention).
 pub fn pearson_matrix_into(rows: &[f64], n: usize, w: usize, matrix: &mut Vec<f64>) {
-    pearson_matrix_with(rows, n, w, matrix, finish::avx())
+    let mut tri = Triangle::new();
+    pearson_triangle_into(rows, n, w, &mut tri);
+    tri.write_matrix(matrix, |i| match w {
+        0 | 1 => 0.0,
+        _ => scaled_cell(
+            dot8(&rows[i * w..(i + 1) * w], &rows[i * w..(i + 1) * w]),
+            w as f64,
+        ),
+    });
 }
 
-/// [`pearson_matrix_into`] with the finish body chosen by the caller.
-fn pearson_matrix_with(rows: &[f64], n: usize, w: usize, matrix: &mut Vec<f64>, avx: bool) {
+/// Every pair's Pearson correlation over `n` pre-z-normalised rows
+/// (row-major `rows`, each of length `w`), finished into `tri`.
+///
+/// This is the per-round hot path of exact TSG construction: one tiled
+/// `Z·Zᵀ` Gram (`crate::tiled`: 32×32 upper-triangle tiles, lane-parallel
+/// dots, tile-chunked parallelism) fills the packed triangle in place —
+/// O(n²/2·w) — then each row is scaled and clamped, four cells per AVX
+/// register where the CPU has it, and folded into the block maxima. Each
+/// cell is a pure function of its pair, so the triangle is bit-identical
+/// for every thread count.
+pub fn pearson_triangle_into(rows: &[f64], n: usize, w: usize, tri: &mut Triangle) {
+    pearson_triangle_with(rows, n, w, tri, finish::avx())
+}
+
+/// [`pearson_triangle_into`] with the finish body chosen by the caller.
+fn pearson_triangle_with(rows: &[f64], n: usize, w: usize, tri: &mut Triangle, avx: bool) {
     assert_eq!(rows.len(), n * w, "rows must be n × w row-major");
-    let matrix = finish::sized(matrix, n);
-    if n == 0 {
-        return;
-    }
+    let cells = tri.sized(n);
     let _t = Timer::start("tsg.correlation.tiled");
     if w < 2 {
         // Degenerate windows carry no correlation information — the same
         // `n < 2 → 0.0` convention as [`pearson_normalized`].
-        matrix.fill(0.0);
+        tri.finish_rows(|_, row| row.fill(0.0));
         return;
     }
-    gram_upper_square(matrix, rows, n, w);
-    for i in 0..n {
-        scale_row(&mut matrix[i * n + i..(i + 1) * n], w as f64, avx);
-    }
-    finish::mirror_lower(matrix, n);
+    gram_upper_tiled(cells, rows, n, w, false);
+    tri.finish_rows(|_, row| scale_row(row, w as f64, avx));
 }
 
 /// One exact-path cell: the normalised rows' dot over `w`, clamped.
@@ -330,7 +341,8 @@ mod tests {
     fn tiled_finish_is_bit_equal_per_cell() {
         // Both finish bodies against `scaled_cell` of the packed Gram, with
         // a zero row, a NaN row and over-scaled rows whose ratios clamp,
-        // into a stale NaN buffer larger than n², then exactly n².
+        // into a stale triangle; then the matrix adapter, diagonal
+        // included.
         let w = 24;
         for n in crate::finish::TEST_SIZES {
             let rows: Vec<f64> = (0..n)
@@ -351,26 +363,29 @@ mod tests {
             let mut packed = vec![0.0; crate::tiled::packed_len(n, true)];
             crate::tiled::gram_upper_tiled(&mut packed, &rows, n, w, true);
             let at = |i: usize, j: usize| i * (2 * n - i + 1) / 2 + (j - i);
+            let want = |i: usize, j: usize| scaled_cell(packed[at(i.min(j), i.max(j))], w as f64);
             let mut bodies = vec![false];
             if crate::finish::avx() {
                 bodies.push(true);
             }
             for avx in bodies {
-                let mut m = vec![f64::NAN; 3 * n * n + 5];
+                // A stale triangle over more vertices, then one over n.
+                let mut tri = Triangle::from_matrix(&vec![f64::NAN; 4 * n * n], 2 * n);
                 for _ in 0..2 {
-                    pearson_matrix_with(&rows, n, w, &mut m, avx);
-                    assert_eq!(m.len(), n * n);
-                    for i in 0..n {
-                        for j in 0..n {
-                            let want = scaled_cell(packed[at(i.min(j), i.max(j))], w as f64);
-                            assert_eq!(
-                                m[i * n + j].to_bits(),
-                                want.to_bits(),
-                                "n={n} avx={avx} cell ({i},{j})"
-                            );
-                        }
-                    }
-                    m.fill(f64::NAN);
+                    pearson_triangle_with(&rows, n, w, &mut tri, avx);
+                    let ctx = format!("n={n} avx={avx}");
+                    crate::finish::assert_triangle_holds(&tri, n, want, &ctx);
+                }
+            }
+            // The matrix adapter, diagonal included, into a stale buffer
+            // larger than n².
+            let mut m = vec![f64::NAN; 3 * n * n + 5];
+            pearson_matrix_into(&rows, n, w, &mut m);
+            assert_eq!(m.len(), n * n);
+            for i in 0..n {
+                for j in 0..n {
+                    let ctx = format!("n={n} cell ({i},{j})");
+                    assert_eq!(m[i * n + j].to_bits(), want(i, j).to_bits(), "{ctx}");
                 }
             }
         }

@@ -25,10 +25,11 @@ pub mod tiled;
 
 pub use correlation::{
     pearson, pearson_matrix_into, pearson_matrix_normalized, pearson_normalized, pearson_pairwise,
-    znorm_in_place, znormed,
+    pearson_triangle_into, znorm_in_place, znormed,
 };
 pub use descriptive::{mean, median, quantile, stddev, variance};
 pub use ecdf::Ecdf;
+pub use finish::Triangle;
 pub use masked::{MaskedCovState, MaskedSlidingCov};
 pub use periodicity::{autocorrelation, estimate_period};
 pub use rank::{average_ranks, rank_descending};

@@ -52,21 +52,8 @@
 
 use cad_runtime::Timer;
 
-use crate::finish;
+use crate::finish::{self, pair_index, row_start, Triangle};
 use crate::tiled::{dot8, fold_delta_upper, gram_upper_tiled, pair_upper_tiled};
-
-/// Packed-triangle offset of pair `(i, j)`, `j > i`.
-#[inline]
-fn pair_index(n: usize, i: usize, j: usize) -> usize {
-    debug_assert!(i < j && j < n);
-    i * (2 * n - i - 1) / 2 + (j - i - 1)
-}
-
-/// Start offset of row `i` in the packed triangle.
-#[inline]
-fn row_start(n: usize, i: usize) -> usize {
-    i * (2 * n - i - 1) / 2
-}
 
 /// Row `i` of a row-major block of rows of length `len`.
 #[inline]
@@ -363,24 +350,31 @@ impl MaskedSlidingCov {
         }
     }
 
-    /// Fill `matrix` with the full symmetric `n × n` correlation matrix
-    /// (diagonal 1.0, or 0.0 for a constant/under-observed slot).
-    pub fn correlation_matrix_into(&self, matrix: &mut Vec<f64>) {
-        self.correlation_matrix_with(matrix, finish::avx())
+    /// Finish the round into `tri`: every pair's correlation in the packed
+    /// triangle, with its block maxima. The engines' finish.
+    pub fn correlation_triangle_into(&self, tri: &mut Triangle) {
+        self.correlation_triangle_with(tri, finish::avx())
     }
 
-    /// [`Self::correlation_matrix_into`] with the finish body chosen by the
-    /// caller: each upper row is written four cells per AVX register when
-    /// `avx`, cell by cell otherwise, then mirrored.
-    fn correlation_matrix_with(&self, matrix: &mut Vec<f64>, avx: bool) {
+    /// Fill `matrix` with the full symmetric `n × n` correlation matrix
+    /// (diagonal 1.0, or 0.0 for a constant/under-observed slot): an
+    /// adapter that writes the triangle into a square buffer and mirrors
+    /// it.
+    pub fn correlation_matrix_into(&self, matrix: &mut Vec<f64>) {
+        let mut tri = Triangle::new();
+        self.correlation_triangle_into(&mut tri);
+        tri.write_matrix(matrix, |i| if self.is_flat_own(i) { 0.0 } else { 1.0 });
+    }
+
+    /// [`Self::correlation_triangle_into`] with the finish body chosen by
+    /// the caller: each row is written four cells per AVX register when
+    /// `avx`, cell by cell otherwise.
+    fn correlation_triangle_with(&self, tri: &mut Triangle, avx: bool) {
         assert!(self.primed, "correlation matrix before rebuild");
         let _t = Timer::start("masked.matrix");
         let n = self.n;
-        let matrix = finish::sized(matrix, n);
-        for i in 0..n {
-            let row = &mut matrix[i * n + i..(i + 1) * n];
-            let (diag, upper) = row.split_first_mut().expect("row holds its diagonal");
-            *diag = if self.is_flat_own(i) { 0.0 } else { 1.0 };
+        tri.sized(n);
+        tri.finish_rows(|i, upper| {
             let op = self.pair_row(row_start(n, i), upper.len());
             match avx {
                 // SAFETY: the caller checked AVX support.
@@ -391,8 +385,7 @@ impl MaskedSlidingCov {
                     .enumerate()
                     .for_each(|(k, c)| *c = op.cell(k)),
             }
-        }
-        finish::mirror_lower(matrix, n);
+        });
     }
 
     /// Grow or shrink the slot set in place. Slots `< min(n, new_n)` keep
@@ -616,10 +609,10 @@ mod tests {
 
     #[test]
     fn matrix_agrees_with_pairwise() {
-        // Every cell of both finish bodies, bit for bit, against the
-        // pairwise view, after a slide, with holes, an all-missing slot, a
-        // constant slot, a single-sample slot, two slots that never share
-        // a sample, and a stale buffer larger than n².
+        // Every cell and block maximum of both finish bodies, bit for bit,
+        // against the pairwise view, after a slide, with holes, an
+        // all-missing slot, a constant slot, a single-sample slot, two
+        // slots that never share a sample, and a stale triangle.
         let (w, s) = (24, 5);
         for n in crate::finish::TEST_SIZES {
             let mut data = series(n, w + s);
@@ -656,21 +649,32 @@ mod tests {
                 bodies.push(true);
             }
             for avx in bodies {
-                // Stale NaN buffers: larger than n², then exactly n².
-                let mut matrix = vec![f64::NAN; 3 * n * n + 5];
+                // A stale triangle over more vertices, then one over n.
+                let mut tri = Triangle::from_matrix(&vec![f64::NAN; 4 * n * n], 2 * n);
                 for _ in 0..2 {
-                    cov.correlation_matrix_with(&mut matrix, avx);
-                    assert_eq!(matrix.len(), n * n);
-                    for i in 0..n {
-                        for j in 0..n {
-                            assert_eq!(
-                                matrix[i * n + j].to_bits(),
-                                cov.correlation(i, j).to_bits(),
-                                "n={n} avx={avx} cell ({i},{j})"
-                            );
-                        }
-                    }
-                    matrix.fill(f64::NAN);
+                    cov.correlation_triangle_with(&mut tri, avx);
+                    let ctx = format!("n={n} avx={avx}");
+                    crate::finish::assert_triangle_holds(
+                        &tri,
+                        n,
+                        |i, j| cov.correlation(i, j),
+                        &ctx,
+                    );
+                }
+            }
+            // The matrix adapter, diagonal included, into a stale buffer
+            // larger than n².
+            let mut matrix = vec![f64::NAN; 3 * n * n + 5];
+            cov.correlation_matrix_into(&mut matrix);
+            assert_eq!(matrix.len(), n * n);
+            for i in 0..n {
+                for j in 0..n {
+                    let want = cov.correlation(i, j);
+                    assert_eq!(
+                        matrix[i * n + j].to_bits(),
+                        want.to_bits(),
+                        "n={n} ({i},{j})"
+                    );
                 }
             }
         }

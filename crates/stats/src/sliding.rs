@@ -27,7 +27,7 @@
 
 use cad_runtime::Timer;
 
-use crate::finish;
+use crate::finish::{self, pair_index, Triangle};
 use crate::tiled::{dot8, fold_delta_upper, gram_upper_tiled};
 
 /// Per-pair sliding covariance/correlation state over an `n`-sensor window
@@ -52,13 +52,6 @@ pub struct SlidingCov {
     scratch: Vec<f64>,
     /// Transposed-partner scratch of the blocked slide kernel.
     partners: Vec<f64>,
-}
-
-/// Packed-triangle offset of pair `(i, j)`, `j > i`.
-#[inline]
-fn pair_index(n: usize, i: usize, j: usize) -> usize {
-    debug_assert!(i < j && j < n);
-    i * (2 * n - i - 1) / 2 + (j - i - 1)
 }
 
 impl SlidingCov {
@@ -204,36 +197,41 @@ impl SlidingCov {
         )
     }
 
-    /// Fill `matrix` with the full symmetric `n × n` correlation matrix
-    /// (diagonal 1.0, or 0.0 for a constant sensor — the same conventions
-    /// as [`crate::correlation::pearson_matrix_normalized`]).
-    pub fn correlation_matrix_into(&self, matrix: &mut Vec<f64>) {
-        self.correlation_matrix_with(matrix, finish::avx())
+    /// Finish the round into `tri`: every pair's correlation in the packed
+    /// triangle, with its block maxima. The engines' finish.
+    pub fn correlation_triangle_into(&self, tri: &mut Triangle) {
+        self.correlation_triangle_with(tri, finish::avx())
     }
 
-    /// [`Self::correlation_matrix_into`] with the finish body chosen by the
-    /// caller: each upper row is written four cells per AVX register when
-    /// `avx`, cell by cell otherwise, then mirrored.
-    fn correlation_matrix_with(&self, matrix: &mut Vec<f64>, avx: bool) {
+    /// Fill `matrix` with the full symmetric `n × n` correlation matrix
+    /// (diagonal 1.0, or 0.0 for a constant sensor — the same conventions
+    /// as [`crate::correlation::pearson_matrix_normalized`]): an adapter
+    /// that writes the triangle into a square buffer and mirrors it.
+    pub fn correlation_matrix_into(&self, matrix: &mut Vec<f64>) {
+        let mut tri = Triangle::new();
+        self.correlation_triangle_into(&mut tri);
+        tri.write_matrix(matrix, |i| if self.is_flat(i) { 0.0 } else { 1.0 });
+    }
+
+    /// [`Self::correlation_triangle_into`] with the finish body chosen by
+    /// the caller: each row is written four cells per AVX register when
+    /// `avx`, cell by cell otherwise.
+    fn correlation_triangle_with(&self, tri: &mut Triangle, avx: bool) {
         assert!(self.primed, "correlation matrix before rebuild");
         let _t = Timer::start("sliding.matrix");
         let n = self.n;
         let w = self.w as f64;
         let va: Vec<f64> = (0..n).map(|i| self.va(i)).collect();
         let flat: Vec<f64> = (0..n).map(|i| finish::lane_flag(self.is_flat(i))).collect();
-        let matrix = finish::sized(matrix, n);
+        tri.sized(n);
         let mut start = 0;
-        for i in 0..n {
-            let row = &mut matrix[i * n + i..(i + 1) * n];
-            let (diag, upper) = row.split_first_mut().expect("row holds its diagonal");
+        tri.finish_rows(|i, upper| {
             let sxy = &self.sxy[start..start + upper.len()];
             start += upper.len();
             if flat[i].to_bits() != 0 {
-                *diag = 0.0;
                 upper.fill(0.0);
-                continue;
+                return;
             }
-            *diag = 1.0;
             let op = DenseRow {
                 i,
                 w,
@@ -251,8 +249,7 @@ impl SlidingCov {
                     .enumerate()
                     .for_each(|(k, c)| *c = op.cell(k)),
             }
-        }
-        finish::mirror_lower(matrix, n);
+        });
     }
 
     /// Persistence view: `(anchors, s1, s2, sxy, primed)`.
@@ -470,9 +467,9 @@ mod tests {
 
     #[test]
     fn matrix_agrees_with_pairwise() {
-        // Every cell of both finish bodies, bit for bit, against the
-        // per-pair view, after a slide, with a constant sensor, an all-NaN
-        // one (its variance maps to 0.0) and a stale buffer larger than n².
+        // Every cell and block maximum of both finish bodies, bit for bit,
+        // against the per-pair view, after a slide, with a constant sensor,
+        // an all-NaN one (its variance maps to 0.0) and a stale triangle.
         let (w, s) = (20, 3);
         for n in crate::finish::TEST_SIZES {
             let window: Vec<Vec<f64>> = (0..n)
@@ -498,21 +495,32 @@ mod tests {
                 bodies.push(true);
             }
             for avx in bodies {
-                // Stale NaN buffers: larger than n², then exactly n².
-                let mut matrix = vec![f64::NAN; 3 * n * n + 5];
+                // A stale triangle over more vertices, then one over n.
+                let mut tri = Triangle::from_matrix(&vec![f64::NAN; 4 * n * n], 2 * n);
                 for _ in 0..2 {
-                    cov.correlation_matrix_with(&mut matrix, avx);
-                    assert_eq!(matrix.len(), n * n);
-                    for i in 0..n {
-                        for j in 0..n {
-                            assert_eq!(
-                                matrix[i * n + j].to_bits(),
-                                cov.correlation(i, j).to_bits(),
-                                "n={n} avx={avx} cell ({i},{j})"
-                            );
-                        }
-                    }
-                    matrix.fill(f64::NAN);
+                    cov.correlation_triangle_with(&mut tri, avx);
+                    let ctx = format!("n={n} avx={avx}");
+                    crate::finish::assert_triangle_holds(
+                        &tri,
+                        n,
+                        |i, j| cov.correlation(i, j),
+                        &ctx,
+                    );
+                }
+            }
+            // The matrix adapter, diagonal included, into a stale buffer
+            // larger than n².
+            let mut matrix = vec![f64::NAN; 3 * n * n + 5];
+            cov.correlation_matrix_into(&mut matrix);
+            assert_eq!(matrix.len(), n * n);
+            for i in 0..n {
+                for j in 0..n {
+                    let want = cov.correlation(i, j);
+                    assert_eq!(
+                        matrix[i * n + j].to_bits(),
+                        want.to_bits(),
+                        "n={n} ({i},{j})"
+                    );
                 }
             }
         }

@@ -460,7 +460,7 @@ pub fn pair_upper_tiled<F>(out: &mut [f64], n: usize, include_diag: bool, f: F)
 where
     F: Fn(usize, usize) -> f64 + Sync,
 {
-    triangle_tiled(out, n, Layout::Packed { include_diag }, |i, lo, j1, dst| {
+    triangle_tiled(out, n, include_diag, |i, lo, j1, dst| {
         for (cell, j) in dst.iter_mut().zip(lo..j1) {
             *cell = f(i, j);
         }
@@ -475,22 +475,18 @@ where
 /// dot8(row_i, row_j))` on every body: the blocking only changes load
 /// scheduling, never the per-cell arithmetic.
 pub fn gram_upper_tiled(out: &mut [f64], rows: &[f64], n: usize, w: usize, include_diag: bool) {
-    gram_into(out, rows, n, w, Layout::Packed { include_diag });
+    gram_with(out, rows, n, w, include_diag, active_kernel());
 }
 
-/// [`gram_upper_tiled`] with the diagonal, written straight into the upper
-/// triangle of the row-major `n × n` `matrix`; the lower cells are left as
-/// they were.
-pub(crate) fn gram_upper_square(matrix: &mut [f64], rows: &[f64], n: usize, w: usize) {
-    gram_into(matrix, rows, n, w, Layout::Square);
-}
-
-fn gram_into(out: &mut [f64], rows: &[f64], n: usize, w: usize, layout: Layout) {
-    gram_with(out, rows, n, w, layout, active_kernel());
-}
-
-/// [`gram_into`] on the given body, which must run on this CPU.
-fn gram_with(out: &mut [f64], rows: &[f64], n: usize, w: usize, layout: Layout, kernel: Kernel) {
+/// [`gram_upper_tiled`] on the given body, which must run on this CPU.
+fn gram_with(
+    out: &mut [f64],
+    rows: &[f64],
+    n: usize,
+    w: usize,
+    include_diag: bool,
+    kernel: Kernel,
+) {
     assert!(rows.len() >= n * w, "rows must be n × w row-major");
     assert!(
         kernel.runs_here(),
@@ -500,18 +496,18 @@ fn gram_with(out: &mut [f64], rows: &[f64], n: usize, w: usize, layout: Layout, 
     let row = |i: usize| &rows[i * w..(i + 1) * w];
     match kernel {
         #[cfg(target_arch = "x86_64")]
-        Kernel::Avx512 => triangle_blocks(out, n, layout, |i, lo, j1, segs| {
+        Kernel::Avx512 => triangle_blocks(out, n, include_diag, |i, lo, j1, segs| {
             // SAFETY: the CPU has AVX-512F (asserted above).
             unsafe { gram_rows_avx512(rows, w, i, lo, j1, segs) }
         }),
         #[cfg(target_arch = "x86_64")]
-        Kernel::Avx => triangle_tiled(out, n, layout, |i, lo, j1, dst| {
+        Kernel::Avx => triangle_tiled(out, n, include_diag, |i, lo, j1, dst| {
             // SAFETY (both closures): the CPU has AVX (asserted above).
             let x2 = |a: &[f64], b0: &[f64], b1: &[f64]| unsafe { dot8x2_avx(a, b0, b1) };
             let x1 = |a: &[f64], b: &[f64]| unsafe { dot8_avx(a, b) };
             gram_row(row(i), row, lo, j1, dst, x2, x1);
         }),
-        _ => triangle_tiled(out, n, layout, |i, lo, j1, dst| {
+        _ => triangle_tiled(out, n, include_diag, |i, lo, j1, dst| {
             gram_row(row(i), row, lo, j1, dst, dot8x2_portable, dot8_portable);
         }),
     }
@@ -729,14 +725,9 @@ fn fold_delta_with<F>(
         bt,
         bt_out,
     };
-    triangle_tiled(
-        packed,
-        n,
-        Layout::Packed {
-            include_diag: false,
-        },
-        |i, lo, j1, dst| row_body(&op, i, lo, j1, dst),
-    );
+    triangle_tiled(packed, n, false, |i, lo, j1, dst| {
+        row_body(&op, i, lo, j1, dst)
+    });
 }
 
 /// One tile row of the portable body: four-partner blocks, then the
@@ -935,40 +926,14 @@ pub(crate) fn packed_len(n: usize, include_diag: bool) -> usize {
     }
 }
 
-/// Where [`triangle_tiled`] places the upper triangle's cells.
-#[derive(Clone, Copy, Debug)]
-enum Layout {
-    /// Packed row-major; row `i` holds pairs `(i, i)` (with the diagonal)
-    /// or `(i, i + 1)` (without) through `(i, n − 1)`.
-    Packed { include_diag: bool },
-    /// Cell `(i, j)`, `j ≥ i`, at `i·n + j` of a row-major `n × n` matrix.
-    Square,
-}
-
-impl Layout {
-    fn include_diag(self) -> bool {
-        match self {
-            Layout::Packed { include_diag } => include_diag,
-            Layout::Square => true,
-        }
-    }
-
-    fn len(self, n: usize) -> usize {
-        match self {
-            Layout::Packed { include_diag } => packed_len(n, include_diag),
-            Layout::Square => n * n,
-        }
-    }
-
-    /// Offset of cell `(i, lo)`, `lo` at or right of row `i`'s first cell.
-    fn at(self, n: usize, i: usize, lo: usize) -> usize {
-        match self {
-            Layout::Packed { include_diag: true } => i * (2 * n - i + 1) / 2 + (lo - i),
-            Layout::Packed {
-                include_diag: false,
-            } => i * (2 * n - i - 1) / 2 + (lo - i - 1),
-            Layout::Square => i * n + lo,
-        }
+/// Offset of cell `(i, lo)`, `lo` at or right of row `i`'s first cell, in
+/// the packed row-major triangle: row `i` holds pairs `(i, i)` (with the
+/// diagonal) or `(i, i + 1)` (without) through `(i, n − 1)`.
+fn packed_at(n: usize, include_diag: bool, i: usize, lo: usize) -> usize {
+    if include_diag {
+        i * (2 * n - i + 1) / 2 + (lo - i)
+    } else {
+        i * (2 * n - i - 1) / 2 + (lo - i - 1)
     }
 }
 
@@ -979,11 +944,11 @@ impl Layout {
 /// staging buffers or serial scatter pass. Each cell is visited exactly
 /// once by a function of `(i, j)` alone, so the output is bit-identical
 /// for every thread count and tile size.
-fn triangle_tiled<F>(out: &mut [f64], n: usize, layout: Layout, fill: F)
+fn triangle_tiled<F>(out: &mut [f64], n: usize, include_diag: bool, fill: F)
 where
     F: Fn(usize, usize, usize, &mut [f64]) + Sync,
 {
-    triangle_blocks(out, n, layout, |i, lo, j1, segs| {
+    triangle_blocks(out, n, include_diag, |i, lo, j1, segs| {
         for (r, dst) in segs.iter_mut().enumerate() {
             fill(i + r, lo, j1, dst);
         }
@@ -996,12 +961,16 @@ where
 /// at the tile's first column, so rows come in pairs (the last of an odd
 /// count alone); on a diagonal tile each row starts at its own diagonal
 /// and comes alone.
-fn triangle_blocks<F>(out: &mut [f64], n: usize, layout: Layout, fill: F)
+fn triangle_blocks<F>(out: &mut [f64], n: usize, include_diag: bool, fill: F)
 where
     F: Fn(usize, usize, usize, &mut [&mut [f64]]) + Sync,
 {
-    assert_eq!(out.len(), layout.len(n), "triangle output length");
-    let diag = usize::from(layout.include_diag());
+    assert_eq!(
+        out.len(),
+        packed_len(n, include_diag),
+        "triangle output length"
+    );
+    let diag = usize::from(include_diag);
     if n == 0 {
         return;
     }
@@ -1026,11 +995,13 @@ where
         let (ti, tj) = tile_of(task);
         let (i0, i1) = (ti * TILE, ((ti + 1) * TILE).min(n));
         let (j0, j1) = (tj * TILE, ((tj + 1) * TILE).min(n));
-        // SAFETY: row `i`'s cells `lo..j1` lie inside `out` in either
-        // layout (the last row ends at the asserted length), and no other
+        // SAFETY: row `i`'s cells `lo..j1` lie inside `out` with or without
+        // the diagonal (the last row ends at the asserted length), and no other
         // tile, nor another row of this one, covers row `i` columns
         // `lo..j1`.
-        let seg = |i: usize, lo: usize| unsafe { dst.segment(layout.at(n, i, lo), j1 - lo) };
+        let seg = |i: usize, lo: usize| unsafe {
+            dst.segment(packed_at(n, include_diag, i, lo), j1 - lo)
+        };
         if ti < tj {
             let mut i = i0;
             while i + 1 < i1 {
@@ -1192,24 +1163,17 @@ mod tests {
     #[test]
     fn gram_bodies_are_bit_identical() {
         // Every body, layout and thread count writes the portable body's
-        // bits, corner values included; square layouts keep their stale
-        // lower cells, so those must match too.
+        // bits, corner values included.
         let bodies = simd_bodies();
         let ns = [0, 1, 2, 3, 4, 5, 7, 8, 9, 31, 32, 33, 63, 64, 65, 257];
         for n in ns {
             for w in [0, 1, 2, 15, 16, 17, 100, 256] {
                 let rows: Vec<f64> = (0..n).flat_map(|i| special_series(w, i)).collect();
-                for layout in [
-                    Layout::Square,
-                    Layout::Packed { include_diag: true },
-                    Layout::Packed {
-                        include_diag: false,
-                    },
-                ] {
+                for include_diag in [true, false] {
                     let run = |kernel: Kernel, threads: usize| {
                         cad_runtime::with_thread_override(threads, || {
-                            let mut out = vec![f64::NAN; layout.len(n)];
-                            gram_with(&mut out, &rows, n, w, layout, kernel);
+                            let mut out = vec![f64::NAN; packed_len(n, include_diag)];
+                            gram_with(&mut out, &rows, n, w, include_diag, kernel);
                             out
                         })
                     };
@@ -1218,7 +1182,7 @@ mod tests {
                         for threads in [1, 4] {
                             assert!(
                                 same_bits(&run(kernel, threads), &expect),
-                                "{} body, n={n} w={w} {layout:?}, {threads} thread(s)",
+                                "{} body, n={n} w={w} diag={include_diag}, {threads} thread(s)",
                                 kernel.name()
                             );
                         }

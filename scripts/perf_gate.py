@@ -23,8 +23,9 @@ committed baseline ``results/BENCH_baseline.json`` (same reduced CI size):
   and TSG assembly under each engine; a revert to the per-cell k-slot
   insertion scan with ``has_edge``-checked assembly trips both.
 * ``phases_incremental['sliding.matrix'].secs`` — the dense incremental
-  matrix finish (AVX upper rows, one row-gather mirror); a revert to the
-  scalar per-cell finish with its scattered mirror writes trips it.
+  finish into the packed correlation triangle (AVX rows, each folded into
+  the per-vertex block maxima as it is written; no mirror); a revert to
+  the scalar per-cell finish trips it.
 * ``phases_serial['graph.louvain'].secs`` and
   ``phases_incremental['graph.louvain'].secs`` — Louvain on the
   detector's reused CSR workspace under each engine.
