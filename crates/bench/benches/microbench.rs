@@ -5,15 +5,21 @@
 //! * `louvain/{n}` — Phase 1 community detection;
 //! * `cad_round/{n}` — one full `push_window` (the paper's TPR, Table VII
 //!   and Fig. 6's right panel);
+//! * `masked_slide/{input}` — one `MaskedSlidingCov` slide at the hostile
+//!   shape (n = 128, w = 128, s = 16): all-valid and hostile-like shared
+//!   holes take the per-class tables, independent per-sample NaN the six
+//!   blocked folds;
 //! * `baseline_score` — per-point scoring cost of the cheap baselines.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use std::hint::black_box;
 
 use cad_baselines::{Detector, Ecod, IsolationForest};
+use cad_bench::holes;
 use cad_core::{CadConfig, CadDetector};
 use cad_datagen::{Dataset, GeneratorConfig};
 use cad_graph::{louvain, CorrelationKnn, KnnConfig, LouvainConfig};
+use cad_stats::MaskedSlidingCov;
 
 fn dataset(n: usize) -> Dataset {
     let mut cfg = GeneratorConfig::small("bench", n, 1);
@@ -87,6 +93,53 @@ fn bench_cad_round(c: &mut Criterion) {
     group.finish();
 }
 
+/// Whether sample `t` of sensor `i` is missing, per masked input.
+type Holes = fn(usize, usize) -> bool;
+
+fn no_holes(_: usize, _: usize) -> bool {
+    false
+}
+
+fn bench_masked_slide(c: &mut Criterion) {
+    const SLIDES: usize = 16;
+    let (n, w, s) = (128usize, 128usize, 16usize);
+    let mut group = c.benchmark_group("masked_slide");
+    let inputs: [(&str, Holes); 3] = [
+        ("all_valid", no_holes),
+        ("shared_holes", holes::shared),
+        ("independent_nan", holes::independent),
+    ];
+    for (name, holes) in inputs {
+        let block = |t0: usize, cols: usize| -> Vec<f64> {
+            (0..n)
+                .flat_map(|i| (t0..t0 + cols).map(move |t| (i, t)))
+                .map(|(i, t)| {
+                    if holes(i, t) {
+                        f64::NAN
+                    } else {
+                        (t as f64 * (0.05 + 0.001 * i as f64)).sin() * 10.0 + i as f64
+                    }
+                })
+                .collect()
+        };
+        let slides: Vec<(Vec<f64>, Vec<f64>)> = (0..SLIDES)
+            .map(|r| (block(w + r * s, s), block(r * s, s)))
+            .collect();
+        let mut cov = MaskedSlidingCov::new(n, w);
+        cov.rebuild(&block(0, w));
+        let mut r = 0usize;
+        group.bench_function(name, |b| {
+            b.iter(|| {
+                let (incoming, outgoing) = &slides[r % SLIDES];
+                r += 1;
+                cov.slide(incoming, outgoing, s);
+                black_box(cov.pair_valid_count(0, 1))
+            });
+        });
+    }
+    group.finish();
+}
+
 fn bench_baseline_score(c: &mut Criterion) {
     let mut group = c.benchmark_group("baseline_score");
     group.sample_size(20);
@@ -109,6 +162,7 @@ criterion_group!(
     bench_tsg_build,
     bench_louvain,
     bench_cad_round,
+    bench_masked_slide,
     bench_baseline_score
 );
 criterion_main!(benches);

@@ -17,6 +17,12 @@
 //!   maximum correlation divergence between a continuously-slid
 //!   accumulator and freshly computed matrices.
 //!
+//! A third, masked pass runs the incremental engine under
+//! `GapPolicy::Skip` on the same test data with seeded holes shared across
+//! sensors (gaps that blank every sensor, bursts that blank half), so the
+//! pairwise-deletion accumulator `MaskedSlidingCov` and its slide are
+//! timed too (`phases_masked`, `masked_rounds_per_sec`).
+//!
 //! ```text
 //! cargo run --release -p cad-bench --bin pipeline
 //! ```
@@ -27,7 +33,8 @@
 
 use std::time::Instant;
 
-use cad_core::{CadConfig, CadDetector, EngineChoice, RoundOutcome, StreamingCad};
+use cad_bench::holes;
+use cad_core::{CadConfig, CadDetector, EngineChoice, GapPolicy, RoundOutcome, StreamingCad};
 use cad_datagen::{Dataset, GeneratorConfig};
 use cad_mts::Mts;
 use cad_stats::{active_kernel, pearson_matrix_normalized, znorm_in_place, SlidingCov};
@@ -56,6 +63,19 @@ fn run_pipeline(config: &CadConfig, his: &Mts, test: &Mts) -> (Vec<RoundOutcome>
     }
     let detect_secs = t0.elapsed().as_secs_f64();
     (outcomes, warm_secs, detect_secs)
+}
+
+/// `test` with [`holes::shared`] blanked out.
+fn with_shared_holes(test: &Mts) -> Mts {
+    let mut holed = test.clone();
+    for t in 0..test.len() {
+        for i in 0..test.n_sensors() {
+            if holes::shared(i, t) {
+                holed.set(i, t, f64::NAN);
+            }
+        }
+    }
+    holed
 }
 
 fn bit_identical(a: &[RoundOutcome], b: &[RoundOutcome]) -> bool {
@@ -155,7 +175,9 @@ fn main() {
         .tau(0.3)
         .theta(0.5);
     let config_exact = base.clone().build();
-    let config_incremental = base.engine(EngineChoice::incremental()).build();
+    let incremental_base = base.engine(EngineChoice::incremental());
+    let config_incremental = incremental_base.clone().build();
+    let config_masked = incremental_base.gap_policy(GapPolicy::Skip).build();
     eprintln!("[pipeline] w={w} s={s} threads={threads}");
 
     cad_runtime::reset_phase_stats();
@@ -193,6 +215,13 @@ fn main() {
         "exact and incremental engines must report identical verdict streams"
     );
 
+    let holed = with_shared_holes(&data.test);
+    cad_runtime::reset_phase_stats();
+    let (masked, masked_warm, masked_detect) = run_pipeline(&config_masked, &data.his, &holed);
+    let phases_masked = cad_runtime::phases_json();
+    let masked_secs = masked_warm + masked_detect;
+    eprintln!("[pipeline] masked incremental, shared holes ({threads} threads): {masked_secs:.3}s");
+
     eprintln!("[pipeline] sampling correlation divergence (no rebuilds)");
     let max_div = max_correlation_divergence(&data.test, w, s, 16);
 
@@ -201,6 +230,7 @@ fn main() {
     let speedup = serial_secs / parallel_secs.max(1e-12);
     let incremental_rounds_per_sec = incremental.len() as f64 / inc_detect.max(1e-12);
     let incremental_speedup = par_detect / inc_detect.max(1e-12);
+    let masked_rounds_per_sec = masked.len() as f64 / masked_detect.max(1e-12);
 
     let json = format!(
         concat!(
@@ -227,12 +257,17 @@ fn main() {
             "  \"incremental_detect_secs\": {:.6},\n",
             "  \"incremental_rounds_per_sec\": {:.3},\n",
             "  \"incremental_speedup\": {:.4},\n",
+            "  \"masked_secs\": {:.6},\n",
+            "  \"masked_warm_secs\": {:.6},\n",
+            "  \"masked_detect_secs\": {:.6},\n",
+            "  \"masked_rounds_per_sec\": {:.3},\n",
             "  \"verdict_parity\": {},\n",
             "  \"max_correlation_divergence\": {:e},\n",
             "  \"bit_identical\": {},\n",
             "  \"phases_serial\": {},\n",
             "  \"phases_parallel\": {},\n",
-            "  \"phases_incremental\": {}\n",
+            "  \"phases_incremental\": {},\n",
+            "  \"phases_masked\": {}\n",
             "}}\n"
         ),
         n_sensors,
@@ -256,12 +291,17 @@ fn main() {
         inc_detect,
         incremental_rounds_per_sec,
         incremental_speedup,
+        masked_secs,
+        masked_warm,
+        masked_detect,
+        masked_rounds_per_sec,
         parity,
         max_div,
         identical,
         phases_serial,
         phases_parallel,
         phases_incremental,
+        phases_masked,
     );
     std::fs::create_dir_all("results").expect("create results/");
     std::fs::write("results/BENCH_pipeline.json", &json).expect("write BENCH_pipeline.json");

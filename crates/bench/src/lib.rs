@@ -21,6 +21,7 @@
 //! (the paper uses 10).
 
 pub mod cad_method;
+pub mod holes;
 pub mod registry;
 pub mod report;
 pub mod runner;

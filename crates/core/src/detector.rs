@@ -278,6 +278,7 @@ impl CadDetector {
         for r in 0..spec.rounds(his.len()) {
             let window = his.window(spec.start(r), spec.w);
             let (outliers, n_r) = self.outlier_detection(&window);
+            let _t = Timer::start("core.sigma");
             crate::metrics::observe_warmup_round(
                 self.stats.count() >= 2 && self.stats.is_outlier(n_r as f64, self.config.eta),
             );
@@ -315,6 +316,8 @@ impl CadDetector {
             let _t = Timer::start("core.coappear");
             self.tracker.ratios()
         };
+        // The 3σ test, its journal record and the μ/σ update.
+        let _t = Timer::start("core.sigma");
         let crossed = self.stats.count() >= 2 && self.stats.is_outlier(n_r as f64, self.config.eta);
         crate::metrics::observe_round(n_r as u64, crossed, !suppress && crossed);
         // The verdict is computed against the pre-update μ/σ; snapshot them

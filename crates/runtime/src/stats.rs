@@ -26,10 +26,12 @@ pub const PHASE_HIST_NAME: &str = "cad_phase_duration_nanos";
 pub const KNOWN_PHASES: &[&str] = &[
     "bench.matrix",
     "core.coappear",
+    "core.sigma",
     "engine.exact",
     "engine.incremental",
     "engine.window",
     "graph.louvain",
+    "masked.classes",
     "masked.matrix",
     "masked.rebuild",
     "masked.slide",

@@ -29,10 +29,27 @@
 //! which means the tiled SIMD kernel ([`crate::tiled`]) drives the masked
 //! path exactly like the dense one — same lane-parallel dots, same
 //! tile-chunked parallelism, same thread-count invariance. Slides add the
-//! incoming dots and subtract the outgoing ones — six calls to the blocked
-//! slide fold [`crate::tiled::fold_delta_upper`], one per triangle, with
-//! every derived-row buffer kept in the accumulator's scratch; a missing
-//! sample contributes zero everywhere, so retiring it is also zero.
+//! incoming dots and subtract the outgoing ones, with every derived-row
+//! buffer kept in the accumulator's scratch; a missing sample contributes
+//! zero everywhere, so retiring it is also zero.
+//!
+//! ## Slides by mask class
+//!
+//! Five of the six triangles see a pair only through one side's row and
+//! the other side's mask. Real streams share their holes — a gap blanks
+//! every sensor, a burst blanks a random half — so a slide's slots fall
+//! into few *mask classes*: slots whose incoming and outgoing mask rows are
+//! bit-identical. A slide groups its slots into classes and computes those
+//! five deltas once per class and slot (`M_c·v_j`, `M_c·v²_j`) and per
+//! pair of classes (`M_a·M_b`), each with the fold's own `dot8(a_in, b_in)
+//! − dot8(a_out, b_out)`; `v_i·M_c` and `v²_i·M_c` are the same bits with
+//! the operands swapped, so one table serves both sides. Only `v_i·v_j`, a
+//! genuine pair dot, takes the blocked slide fold
+//! [`crate::tiled::fold_delta_upper`]; one pass over the triangle then adds
+//! the other five deltas by lookup. Every cell receives the same delta by
+//! the same `+=` as under six folds, so the sums are bit-identical either
+//! way. When the classes are too many for the tables to pay (independent
+//! per-sample holes), the slide runs the six folds, one per triangle.
 //!
 //! ## Conventions
 //!
@@ -119,6 +136,10 @@ pub struct MaskedSlidingCov {
     out_scratch: Vec<f64>,
     /// Transposed-partner scratch of the blocked slide kernel.
     partners: Vec<f64>,
+    /// Mask classes and delta tables of [`Self::slide`]'s class path,
+    /// boxed so the accumulator's inline size stays near the dense one's
+    /// (the engines hold either in one enum).
+    classes: Box<MaskClasses>,
 }
 
 impl MaskedSlidingCov {
@@ -143,6 +164,7 @@ impl MaskedSlidingCov {
             scratch: Vec::new(),
             out_scratch: Vec::new(),
             partners: Vec::new(),
+            classes: Box::default(),
         }
     }
 
@@ -252,7 +274,21 @@ impl MaskedSlidingCov {
     /// Advance the window: add `cols` incoming points per slot and retire
     /// `cols` outgoing ones (both row-major `n × cols`, oldest first, NaN =
     /// missing). O(n²·cols), thread-count invariant.
+    ///
+    /// Five of the six deltas come from per-mask-class tables and only
+    /// `psxy` takes a blocked fold (see the module docs); when there are
+    /// too many classes for the tables to pay ([`tables_pay`]), the six
+    /// folds run instead. Both paths give every cell the same `dot8(a_in,
+    /// b_in) − dot8(a_out, b_out)` by the same `+=`, so their sums are
+    /// bit-identical.
     pub fn slide(&mut self, incoming: &[f64], outgoing: &[f64], cols: usize) {
+        self.slide_with(incoming, outgoing, cols, tables_pay)
+    }
+
+    /// [`Self::slide`] with the class path's cost rule `pay` (the tests
+    /// pass `|_, _, _| false` for the six folds, `true` for the tables at
+    /// any class count).
+    fn slide_with(&mut self, incoming: &[f64], outgoing: &[f64], cols: usize, pay: PayRule) {
         assert!(self.primed, "slide before rebuild");
         assert_eq!(incoming.len(), self.n * cols, "incoming must be n × cols");
         assert_eq!(outgoing.len(), self.n * cols, "outgoing must be n × cols");
@@ -282,32 +318,51 @@ impl MaskedSlidingCov {
         }
         Self::derive_rows(&self.anchors, incoming, n, cols, &mut self.scratch);
         Self::derive_rows(&self.anchors, outgoing, n, cols, &mut self.out_scratch);
-        {
-            let (iv, rest) = self.scratch.split_at(n * cols);
-            let (im, iq) = rest.split_at(n * cols);
-            let (ov, rest) = self.out_scratch.split_at(n * cols);
-            let (om, oq) = rest.split_at(n * cols);
-            for i in 0..n {
-                for t in 0..cols {
-                    let (vi, vo) = (iv[i * cols + t], ov[i * cols + t]);
-                    self.s1[i] += vi - vo;
-                    self.q1[i] += vi * vi - vo * vo;
-                    self.cnt[i] += im[i * cols + t] - om[i * cols + t];
-                }
+        let (iv, rest) = self.scratch.split_at(n * cols);
+        let (im, iq) = rest.split_at(n * cols);
+        let (ov, rest) = self.out_scratch.split_at(n * cols);
+        let (om, oq) = rest.split_at(n * cols);
+        for i in 0..n {
+            for t in 0..cols {
+                let (vi, vo) = (iv[i * cols + t], ov[i * cols + t]);
+                self.s1[i] += vi - vo;
+                self.q1[i] += vi * vi - vo * vo;
+                self.cnt[i] += im[i * cols + t] - om[i * cols + t];
             }
-            // Six blocked slide folds, one per co-moment triangle (see the
-            // table in the module docs).
-            let partners = &mut self.partners;
-            let mut fold = |acc: &mut [f64], a, b, oa, ob| {
-                fold_delta_upper(acc, n, cols, [a, b], [oa, ob], partners)
-            };
+        }
+        let by_class = {
+            let _t = Timer::start("masked.classes");
+            let grouped = self.classes.group(im, om, n, cols, pay);
+            if grouped {
+                self.classes.tables([iv, im, iq], [ov, om, oq], n, cols);
+            }
+            grouped
+        };
+        // One blocked slide fold per triangle that is not looked up (see
+        // the table in the module docs).
+        let partners = &mut self.partners;
+        let mut fold = |acc: &mut [f64], a, b, oa, ob| {
+            fold_delta_upper(acc, n, cols, [a, b], [oa, ob], partners)
+        };
+        if by_class {
+            self.classes.add_to(
+                n,
+                [
+                    &mut self.pc,
+                    &mut self.psi,
+                    &mut self.psj,
+                    &mut self.pqi,
+                    &mut self.pqj,
+                ],
+            );
+        } else {
             fold(&mut self.pc, im, im, om, om);
             fold(&mut self.psi, iv, im, ov, om);
             fold(&mut self.psj, im, iv, om, ov);
             fold(&mut self.pqi, iq, im, oq, om);
             fold(&mut self.pqj, im, iq, om, oq);
-            fold(&mut self.psxy, iv, iv, ov, ov);
         }
+        fold(&mut self.psxy, iv, iv, ov, ov);
     }
 
     /// Centred variance sum `Σ(x − m)²` of slot `i` over its own valid
@@ -473,6 +528,153 @@ impl MaskedSlidingCov {
             scratch: Vec::new(),
             out_scratch: Vec::new(),
             partners: Vec::new(),
+            classes: Box::default(),
+        }
+    }
+}
+
+/// Whether per-class tables pay against the five folds they replace, for
+/// `n` slots in `c` mask classes over `cols` columns. Per side the tables
+/// take `2·n·c + c²` dots (`M_c·v_j` and `M_c·v²_j`, which also serve as
+/// `v_i·M_c` and `v²_i·M_c`, and `M_a·M_b`) and the folds `5·n(n − 1)/2`.
+/// A table dot is a [`dot8`] call of its own, whose call and lane
+/// reduction cost about as much as 24 more column products, where the
+/// blocked fold spreads those over eight partners; so each table dot is
+/// weighed `(cols + 24)/cols` fold dots. Against one-thread timings at
+/// `n` = 32–256 and `cols` = 4–64 (2-vCPU AVX-512 VM), that switches to
+/// the folds within about a fifth of the measured crossover class count,
+/// where the two paths cost the same to a few per cent.
+///
+/// The tables, one `f64` per dot, must also fit in the cells of one
+/// triangle, so the kept scratch grows by at most a sixth of the sums it
+/// serves. This binds first wherever `cols` exceeds 6; at the `hostile`
+/// shape (`n` = 128, `cols` = 16) it allows 28 classes against the 52 of
+/// the time rule, and slides with more take the folds.
+fn tables_pay(n: usize, c: usize, cols: usize) -> bool {
+    let dots = 2 * n * c + c * c;
+    dots <= n_pairs(n) && dots * (cols + 24) <= 5 * n_pairs(n) * cols
+}
+
+/// Whether the class path pays for `(n, c, cols)`: [`tables_pay`].
+type PayRule = fn(usize, usize, usize) -> bool;
+
+/// Kept scratch of [`MaskedSlidingCov::slide`]'s class path: every slot's
+/// mask class, and one slide's per-class delta tables. Each entry is the
+/// slide fold's own per-pair delta, `dot8(a_in, b_in) − dot8(a_out,
+/// b_out)`, of a slot's derived row against a class's mask row, or of two
+/// classes' mask rows.
+#[derive(Debug, Clone, Default)]
+struct MaskClasses {
+    /// Class of every slot.
+    of: Vec<usize>,
+    /// Per class: its lowest slot, whose mask rows stand for the class,
+    /// and a hash of those rows that screens the row compares.
+    reps: Vec<(usize, u64)>,
+    /// `M_c·v_j` and `M_c·v²_j` per class and slot, `C × n`.
+    mv: Vec<f64>,
+    mq: Vec<f64>,
+    /// `M_a·M_b` per pair of classes, `C × C`.
+    mm: Vec<f64>,
+    /// One slot's column of `mv`, then of `mq`, in the lookup pass.
+    col: Vec<f64>,
+}
+
+impl MaskClasses {
+    /// Group the slots by their incoming and outgoing mask rows (`im`,
+    /// `om`, row-major `n × cols`). Gives up, returning `false`, at the
+    /// first class count that `pay` rejects.
+    fn group(&mut self, im: &[f64], om: &[f64], n: usize, cols: usize, pay: PayRule) -> bool {
+        self.of.clear();
+        self.reps.clear();
+        let rows = |i: usize| (seg(im, i, cols), seg(om, i, cols));
+        for i in 0..n {
+            let (m_in, m_out) = rows(i);
+            // The mask bits, rotated in: exact for up to 32 columns.
+            let key = m_in
+                .iter()
+                .chain(m_out)
+                .fold(0u64, |h, &m| h.rotate_left(1) ^ u64::from(m != 0.0));
+            let found = self
+                .reps
+                .iter()
+                .position(|&(r, k)| k == key && rows(r) == (m_in, m_out));
+            let class = match found {
+                Some(class) => class,
+                None if pay(n, self.reps.len() + 1, cols) => {
+                    self.reps.push((i, key));
+                    self.reps.len() - 1
+                }
+                None => return false,
+            };
+            self.of.push(class);
+        }
+        true
+    }
+
+    /// Fill the tables from the derived rows `[v, m, v²]` of the incoming
+    /// (`inc`) and retired (`out`) samples, grouped by [`Self::group`].
+    /// Each table is sized exactly, so a slide with many classes does not
+    /// leave doubled capacity behind.
+    fn tables(&mut self, inc: [&[f64]; 3], out: [&[f64]; 3], n: usize, cols: usize) {
+        // `dot8(a_i, b_j) − dot8(a_out_i, b_out_j)`, as the fold has it.
+        let delta = |[a, oa]: [&[f64]; 2], i: usize, [b, ob]: [&[f64]; 2], j: usize| {
+            dot8(seg(a, i, cols), seg(b, j, cols)) - dot8(seg(oa, i, cols), seg(ob, j, cols))
+        };
+        let [v, m, q] = [0, 1, 2].map(|k| [inc[k], out[k]]);
+        let c = self.reps.len();
+        for (t, len) in [
+            (&mut self.mv, c * n),
+            (&mut self.mq, c * n),
+            (&mut self.mm, c * c),
+        ] {
+            t.clear();
+            t.reserve_exact(len);
+        }
+        for &(r, _) in &self.reps {
+            for j in 0..n {
+                self.mv.push(delta(m, r, v, j));
+                self.mq.push(delta(m, r, q, j));
+            }
+            for &(r2, _) in &self.reps {
+                self.mm.push(delta(m, r, m, r2));
+            }
+        }
+    }
+
+    /// Add the looked-up deltas to every pair of the `[pc, psi, psj, pqi,
+    /// pqj]` triangles.
+    ///
+    /// `psj` and `pqj` take row `ci` of `mv` and `mq` as it runs along the
+    /// row. `psi` and `pqi` want `v_i·M_c`, the fold's `dot8(v_i, m_j)`
+    /// with the operands swapped; column `i` of the same tables has those
+    /// bits, because each product commutes and a mask is never NaN, so
+    /// `dot8(m, v)` and `dot8(v, m)` add the same terms in the same order.
+    fn add_to(&mut self, n: usize, [pc, psi, psj, pqi, pqj]: [&mut [f64]; 5]) {
+        let c = self.reps.len();
+        for i in 0..n.saturating_sub(1) {
+            let cells = row_start(n, i)..row_start(n, i + 1);
+            let ci = self.of[i];
+            for (acc, table) in [(&mut *psj, &self.mv), (&mut *pqj, &self.mq)] {
+                let deltas = &table[ci * n + i + 1..(ci + 1) * n];
+                for (cell, d) in acc[cells.clone()].iter_mut().zip(deltas) {
+                    *cell += d;
+                }
+            }
+            self.col.clear();
+            self.col.extend((0..c).map(|k| self.mv[k * n + i]));
+            self.col.extend((0..c).map(|k| self.mq[k * n + i]));
+            let (vm, qm) = self.col.split_at(c);
+            let mm = &self.mm[ci * c..(ci + 1) * c];
+            let picked = pc[cells.clone()]
+                .iter_mut()
+                .zip(&mut psi[cells.clone()])
+                .zip(&mut pqi[cells])
+                .zip(&self.of[i + 1..]);
+            for (((pc, psi), pqi), &cj) in picked {
+                *pc += mm[cj];
+                *psi += vm[cj];
+                *pqi += qm[cj];
+            }
         }
     }
 }
@@ -706,6 +908,146 @@ mod tests {
                 assert_matches_oracle(&cov, &window_at(a), 1e-10, &ctx);
             }
             assert!(a > 10 * s, "test must exercise many slides");
+        }
+    }
+
+    /// SplitMix64, for seeded hole patterns.
+    fn mix(mut z: u64) -> u64 {
+        z = z.wrapping_add(0x9e37_79b9_7f4a_7c15);
+        z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
+        z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
+        z ^ (z >> 31)
+    }
+
+    /// Hole regimes of [`class_path_is_bit_identical_to_six_folds`].
+    #[derive(Debug, Clone, Copy, PartialEq)]
+    enum Holes {
+        None,
+        /// Ticks that blank every slot.
+        Gaps,
+        /// Epochs that blank a seeded half of the slots.
+        Bursts,
+        /// Gaps, and one slot missing throughout.
+        AllNanSlot,
+        /// Every sample missing on its own: no two slots share a mask.
+        Independent,
+        /// Gaps, and a last slot with no samples before the first slide,
+        /// re-anchored by it.
+        Joiner,
+        /// Bursts over a slot set that shrinks and grows between slides.
+        Reshaped,
+    }
+
+    /// Sample `t` of slot `i` under `holes`: slot kinds cycle through a
+    /// noisy signal, a constant (every valid value equals its anchor) and
+    /// alternating ±0.0.
+    fn regime_value(holes: Holes, n: usize, w: usize, i: usize, t: usize) -> f64 {
+        let gap = mix(t as u64 / 3).is_multiple_of(4);
+        let burst = |e: u64| mix(e ^ 0xb0).is_multiple_of(3) && mix(e ^ (i as u64) << 20) & 1 == 1;
+        let missing = match holes {
+            Holes::None => false,
+            Holes::Gaps => gap,
+            Holes::Bursts | Holes::Reshaped => burst(t as u64 / 5),
+            Holes::AllNanSlot => gap || i == n / 2,
+            Holes::Independent => mix(((i as u64) << 32) ^ t as u64) % 10 < 3,
+            Holes::Joiner => gap || (i + 1 == n && t < w),
+        };
+        if missing {
+            return f64::NAN;
+        }
+        match i % 3 {
+            0 => (mix((i * 7919 + t) as u64) % 1000) as f64 * 0.01 - 5.0,
+            1 => 5.0,
+            _ if t.is_multiple_of(2) => 0.0,
+            _ => -0.0,
+        }
+    }
+
+    /// Rebuild and slide `n` slots (`Holes::Reshaped`: a slot set around
+    /// `n`) four times by `s` under `pay`; the sums, and whether each slide
+    /// took the class path.
+    fn slid_state(holes: Holes, n: usize, s: usize, pay: PayRule) -> (MaskedCovState, Vec<bool>) {
+        let w = s + 5;
+        let widths = match holes {
+            Holes::Reshaped => [n + 1, n + 1, n, n + 3, n],
+            _ => [n; 5],
+        };
+        let block = |width: usize, t0: usize, cols: usize| -> Vec<f64> {
+            (0..width)
+                .flat_map(|i| (t0..t0 + cols).map(move |t| regime_value(holes, n, w, i, t)))
+                .collect()
+        };
+        let mut cov = MaskedSlidingCov::new(widths[0], w);
+        cov.rebuild(&block(widths[0], 0, w));
+        let mut took = Vec::new();
+        for (r, &width) in widths[1..].iter().enumerate() {
+            cov.reshape(width);
+            cov.slide_with(&block(width, w + r * s, s), &block(width, r * s, s), s, pay);
+            took.push(cov.classes.of.len() == width);
+        }
+        (cov.to_state(), took)
+    }
+
+    #[test]
+    fn class_path_is_bit_identical_to_six_folds() {
+        // Every sum of the class path, under the cost rule and at any class
+        // count, against the six folds, bit for bit: sizes across the dot8
+        // chunks and tails, the tile edge and the hostile shape.
+        let folds: PayRule = |_, _, _| false;
+        let always: PayRule = |_, _, _| true;
+        let bits = |st: &MaskedCovState| -> Vec<u64> {
+            let MaskedCovState {
+                anchors,
+                cnt,
+                s1,
+                q1,
+                pc,
+                psi,
+                psj,
+                pqi,
+                pqj,
+                psxy,
+                primed,
+            } = st;
+            [anchors, cnt, s1, q1, pc, psi, psj, pqi, pqj, psxy]
+                .into_iter()
+                .flat_map(|v| v.iter().map(|x| x.to_bits()))
+                .chain([u64::from(*primed)])
+                .collect()
+        };
+        use Holes::*;
+        let regimes = [
+            None,
+            Gaps,
+            Bursts,
+            AllNanSlot,
+            Independent,
+            Joiner,
+            Reshaped,
+        ];
+        for threads in [1, 4] {
+            cad_runtime::with_thread_override(threads, || {
+                for n in [1, 2, 7, 8, 9, 33, 128] {
+                    for s in [1, 7, 15, 16, 17, 33] {
+                        for holes in regimes {
+                            let ctx = format!("n={n} s={s} {holes:?} threads={threads}");
+                            let (oracle, none) = slid_state(holes, n, s, folds);
+                            assert!(none.iter().all(|&t| !t), "{ctx}: oracle took classes");
+                            let (forced, all) = slid_state(holes, n, s, always);
+                            assert!(all.iter().all(|&t| t), "{ctx}: forced classes fell back");
+                            assert!(bits(&forced) == bits(&oracle), "{ctx}: forced classes");
+                            let (ruled, took) = slid_state(holes, n, s, tables_pay);
+                            assert!(bits(&ruled) == bits(&oracle), "{ctx}: cost rule");
+                            // The hostile shape: shared holes take the
+                            // tables, independent ones the folds.
+                            if (n, s) == (128, 16) {
+                                let want = holes != Independent;
+                                assert!(took.iter().all(|&t| t == want), "{ctx}: {took:?}");
+                            }
+                        }
+                    }
+                }
+            });
         }
     }
 

@@ -29,6 +29,10 @@ committed baseline ``results/BENCH_baseline.json`` (same reduced CI size):
 * ``phases_serial['graph.louvain'].secs`` and
   ``phases_incremental['graph.louvain'].secs`` — Louvain on the
   detector's reused CSR workspace under each engine.
+* ``phases_masked['masked.slide'].secs`` — the pairwise-deletion slide
+  of the masked pass (holes shared across sensors), which computes five
+  of its six co-moment deltas once per mask class; a revert to six
+  blocked folds per slide trips it.
 
 ``--serve`` mode compares ``results/BENCH_serve.json`` (written by the
 loadgen at the reduced CI profile) against the committed
@@ -139,6 +143,12 @@ GATES = {
             (
                 "phases_incremental['graph.louvain'].secs",
                 lambda r: phase_secs(r, "graph.louvain", "phases_incremental"),
+                False,
+            ),
+            # The masked slide: per-class tables plus one fold.
+            (
+                "phases_masked['masked.slide'].secs",
+                lambda r: phase_secs(r, "masked.slide", "phases_masked"),
                 False,
             ),
         ],

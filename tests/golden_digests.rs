@@ -8,6 +8,12 @@
 //! a kernel rewrite that claims bit-identity must leave every digest
 //! unchanged. Each digest is checked at 1 and at 4 runtime threads.
 //!
+//! The masked slide has two paths (see `cad_stats::masked`): per-class
+//! tables where slots share their holes, six folds where they do not. The
+//! five ~9%-NaN masked shapes and the stream digest take the six folds;
+//! the shared-holes shape, recorded before the class path landed, takes
+//! the tables on every slide.
+//!
 //! A digest mismatch means the arithmetic changed. If that is intended
 //! (a new summation order, say), re-record the constants and say so.
 
@@ -81,27 +87,56 @@ fn sample(i: usize, t: usize, nan_pct: u64) -> f64 {
     100.0 * (i % 7) as f64 + (1.0 + (i % 3) as f64) * factor + noise
 }
 
+/// A sample source: value of sensor `i` at tick `t`, NaN when missing.
+type Source = fn(usize, usize) -> f64;
+
+fn dense(i: usize, t: usize) -> f64 {
+    sample(i, t, 0)
+}
+
+/// ~9% of samples missing, each on its own.
+fn independent_holes(i: usize, t: usize) -> f64 {
+    sample(i, t, 9)
+}
+
+/// Holes shared across sensors, in 8-tick epochs: one epoch in eight is
+/// a gap that blanks every sensor, two in eight are a burst that blanks a
+/// seeded half of them.
+fn shared_holes(i: usize, t: usize) -> f64 {
+    let h = mix(0x5eed_0000 ^ (t / 8) as u64);
+    let missing = match h % 8 {
+        0 => true,
+        1 | 2 => mix(h ^ i as u64) & 1 == 1,
+        _ => false,
+    };
+    if missing {
+        f64::NAN
+    } else {
+        sample(i, t, 0)
+    }
+}
+
 /// Row-major `n × cols` block of samples `t0..t0 + cols`.
-fn block(n: usize, t0: usize, cols: usize, nan_pct: u64) -> Vec<f64> {
+fn block(n: usize, t0: usize, cols: usize, source: Source) -> Vec<f64> {
     (0..n)
-        .flat_map(|i| (t0..t0 + cols).map(move |t| sample(i, t, nan_pct)))
+        .flat_map(|i| (t0..t0 + cols).map(move |t| source(i, t)))
         .collect()
 }
 
 /// Rebuild on the first window, then slide [`SLIDES`] times, handing each
 /// round's incoming and outgoing blocks to `slide`.
-fn drive(n: usize, w: usize, s: usize, nan_pct: u64, mut slide: impl FnMut(&[f64], &[f64])) {
+fn drive(n: usize, w: usize, s: usize, source: Source, mut slide: impl FnMut(&[f64], &[f64])) {
     for r in 0..SLIDES {
-        let incoming = block(n, w + r * s, s, nan_pct);
-        let outgoing = block(n, r * s, s, nan_pct);
+        let incoming = block(n, w + r * s, s, source);
+        let outgoing = block(n, r * s, s, source);
         slide(&incoming, &outgoing);
     }
 }
 
 fn dense_digest(n: usize, w: usize, s: usize) -> u64 {
     let mut cov = SlidingCov::new(n, w);
-    cov.rebuild(&block(n, 0, w, 0));
-    drive(n, w, s, 0, |inc, out| cov.slide(inc, out, s));
+    cov.rebuild(&block(n, 0, w, dense));
+    drive(n, w, s, dense, |inc, out| cov.slide(inc, out, s));
     let (anchors, s1, s2, sxy, primed) = cov.state();
     let mut h = Fnv::new();
     for part in [anchors, s1, s2, sxy] {
@@ -111,10 +146,10 @@ fn dense_digest(n: usize, w: usize, s: usize) -> u64 {
     h.0
 }
 
-fn masked_digest(n: usize, w: usize, s: usize) -> u64 {
+fn masked_digest(n: usize, w: usize, s: usize, source: Source) -> u64 {
     let mut cov = MaskedSlidingCov::new(n, w);
-    cov.rebuild(&block(n, 0, w, 9));
-    drive(n, w, s, 9, |inc, out| cov.slide(inc, out, s));
+    cov.rebuild(&block(n, 0, w, source));
+    drive(n, w, s, source, |inc, out| cov.slide(inc, out, s));
     let MaskedCovState {
         anchors,
         cnt,
@@ -212,7 +247,24 @@ fn masked_cov_state_matches_recorded_digests() {
         0xa823_8174_630d_5bd2,
         0x2332_028e_23af_4792,
     ];
-    check_shapes("MaskedSlidingCov", RECORDED, masked_digest);
+    check_shapes("MaskedSlidingCov", RECORDED, |n, w, s| {
+        masked_digest(n, w, s, independent_holes)
+    });
+}
+
+/// The hostile size with holes shared across sensors, the input whose
+/// slides group into few mask classes.
+#[test]
+fn masked_cov_shared_holes_match_recorded_digest() {
+    const RECORDED: u64 = 0x1d90_5d92_3415_6598;
+    let (n, w, s) = SHAPES[1];
+    let got = pinned("MaskedSlidingCov shared holes", || {
+        masked_digest(n, w, s, shared_holes)
+    });
+    assert_eq!(
+        got, RECORDED,
+        "MaskedSlidingCov shared-holes digest moved: measured {got:#018x}"
+    );
 }
 
 #[test]
