@@ -35,7 +35,7 @@
 //!   Writes `results/CHAOS_truth.json` next to the usual report.
 //!
 //! Both profiles report the I/O plane shape (`poller` backend, worker
-//! count, pump groups) and scrape the HTTP ops plane *mid-run*
+//! count, shard count) and scrape the HTTP ops plane *mid-run*
 //! (latencies reported, proving scrapes stay responsive under load). A
 //! final quiesced scrape must render byte-identical to the CADM snapshot
 //! fetched over the native protocol — retried briefly, since hibernation
@@ -476,7 +476,7 @@ fn scrape_until_done<T>(ops_addr: &str, workers: &[std::thread::JoinHandle<T>]) 
 struct IoPlane {
     poller: &'static str,
     io_workers: usize,
-    pump_groups: usize,
+    shards: usize,
 }
 
 impl IoPlane {
@@ -484,14 +484,14 @@ impl IoPlane {
         IoPlane {
             poller: server.poller_kind(),
             io_workers: server.io_workers(),
-            pump_groups: server.pump_groups(),
+            shards: server.shards(),
         }
     }
 
     fn json(&self) -> String {
         format!(
-            "{{\"kind\": \"{}\", \"io_workers\": {}, \"pump_groups\": {}}}",
-            self.poller, self.io_workers, self.pump_groups
+            "{{\"kind\": \"{}\", \"io_workers\": {}, \"shards\": {}}}",
+            self.poller, self.io_workers, self.shards
         )
     }
 }

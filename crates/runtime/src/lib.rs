@@ -33,7 +33,7 @@ pub mod pool;
 pub mod stats;
 
 pub use pool::{
-    effective_threads, par_chunks, par_map_indexed, par_map_mut, par_map_ranges,
-    with_thread_override, ENV_THREADS,
+    effective_threads, par_chunks, par_map_indexed, par_map_ranges, with_thread_override,
+    ENV_THREADS,
 };
 pub use stats::{phase_snapshot, phases_json, reset_phase_stats, PhaseStats, Timer};

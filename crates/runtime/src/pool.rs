@@ -149,52 +149,6 @@ where
     par_map_ranges(items.len(), chunk, |range| f(range.start, &items[range]))
 }
 
-/// Parallel in-place map: each element is mutated by exactly one worker and
-/// the per-element results come back ordered by index. The slice is split
-/// into one contiguous block per worker (fixed partition), which keeps the
-/// borrow checker happy and the output order deterministic.
-pub fn par_map_mut<T, R, F>(items: &mut [T], f: F) -> Vec<R>
-where
-    T: Send,
-    R: Send,
-    F: Fn(usize, &mut T) -> R + Sync,
-{
-    let n = items.len();
-    if n == 0 {
-        return Vec::new();
-    }
-    let threads = effective_threads().min(n);
-    let block = n.div_ceil(threads);
-    if threads <= 1 {
-        return items
-            .iter_mut()
-            .enumerate()
-            .map(|(i, item)| f(i, item))
-            .collect();
-    }
-    let mut out = Vec::with_capacity(n);
-    std::thread::scope(|scope| {
-        let workers: Vec<_> = items
-            .chunks_mut(block)
-            .enumerate()
-            .map(|(b, slice)| {
-                let f = &f;
-                scope.spawn(move || {
-                    slice
-                        .iter_mut()
-                        .enumerate()
-                        .map(|(off, item)| f(b * block + off, item))
-                        .collect::<Vec<R>>()
-                })
-            })
-            .collect();
-        for worker in workers {
-            out.append(&mut worker.join().expect("cad-runtime worker panicked"));
-        }
-    });
-    out
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -204,7 +158,6 @@ mod tests {
         assert!(par_map_ranges(0, 8, |r| r.len()).is_empty());
         assert!(par_map_indexed(0, |i| i).is_empty());
         assert!(par_chunks::<u32, usize, _>(&[], 4, |_, c| c.len()).is_empty());
-        assert!(par_map_mut::<u32, u32, _>(&mut [], |_, v| *v).is_empty());
     }
 
     #[test]
@@ -255,19 +208,6 @@ mod tests {
             let sum = with_thread_override(threads, reduce);
             assert_eq!(sum.to_bits(), reference.to_bits(), "threads = {threads}");
         }
-    }
-
-    #[test]
-    fn par_map_mut_mutates_each_element_once() {
-        let mut items: Vec<usize> = (0..100).collect();
-        let out = with_thread_override(7, || {
-            par_map_mut(&mut items, |i, v| {
-                *v += 1;
-                i * 2
-            })
-        });
-        assert_eq!(items, (1..=100).collect::<Vec<_>>());
-        assert_eq!(out, (0..100).map(|i| i * 2).collect::<Vec<_>>());
     }
 
     #[test]

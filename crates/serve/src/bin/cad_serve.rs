@@ -5,14 +5,13 @@
 //! | variable                 | default          | meaning                         |
 //! |--------------------------|------------------|---------------------------------|
 //! | `CAD_SERVE_ADDR`         | `127.0.0.1:7464` | bind address                    |
-//! | `CAD_SERVE_SHARDS`       | runtime threads  | session worker shards           |
+//! | `CAD_SERVE_SHARDS`       | runtime threads  | session shards, one pump thread each |
 //! | `CAD_SERVE_MAX_SESSIONS` | `4096`           | admission limit                 |
 //! | `CAD_SERVE_MAX_SENSORS`  | `1024`           | per-session sensor limit        |
-//! | `CAD_SERVE_QUEUE`        | `8192`           | ingress capacity in ticks       |
+//! | `CAD_SERVE_QUEUE`        | `8192`           | per-shard ingress capacity in ticks |
 //! | `CAD_SERVE_MAX_CONNS`    | `1024`           | concurrent connection cap       |
 //! | `CAD_OPS_ADDR`           | unset            | HTTP ops-plane bind address     |
 //! | `CAD_EXPLAIN_ROUNDS`     | `256`            | forensics journal bound (0 off) |
-//! | `CAD_SERVE_PUMP_GROUPS`  | `0` (auto)       | pump groups (0 = min(shards, cores)) |
 //! | `CAD_HIBERNATE_AFTER`    | `0` (off)        | idle sweeps before hibernation  |
 //! | `CAD_SPILL_DIR`          | unset            | state directory (session files)  |
 //! | `CAD_SERVE_IO_WORKERS`   | `0` (auto)       | connection I/O worker threads   |
@@ -35,9 +34,10 @@
 //!
 //! Shutdown is graceful on a client `Shutdown` frame: the queue drains
 //! and, with `CAD_SPILL_DIR` set, every session's file is written before
-//! the process exits. The retired `CAD_SERVE_SNAPSHOT_DIR` is refused
-//! (exit 2) rather than ignored, so no deployment silently loses
-//! persistence. With
+//! the process exits. The retired `CAD_SERVE_SNAPSHOT_DIR` and
+//! `CAD_SERVE_PUMP_GROUPS` are refused (exit 2, naming their
+//! replacements) rather than ignored, so no deployment silently loses
+//! persistence or its serving layout. With
 //! `CAD_OBS_DUMP=path` set, the final state of the `cad-obs` registry is
 //! written to `path` in Prometheus-style text exposition after the drain,
 //! so a scrape survives the process.
@@ -66,16 +66,23 @@ fn main() {
     cfg.max_sensors = env_usize("CAD_SERVE_MAX_SENSORS", cfg.max_sensors);
     cfg.queue_capacity = env_usize("CAD_SERVE_QUEUE", cfg.queue_capacity);
     cfg.max_connections = env_usize("CAD_SERVE_MAX_CONNS", cfg.max_connections);
-    if std::env::var_os("CAD_SERVE_SNAPSHOT_DIR").is_some() {
-        eprintln!(
-            "cad-serve: CAD_SERVE_SNAPSHOT_DIR is no longer read; session state lives in \
-             CAD_SPILL_DIR (set that instead)"
-        );
-        std::process::exit(2);
+    for (retired, why) in [
+        (
+            "CAD_SERVE_SNAPSHOT_DIR",
+            "session state lives in CAD_SPILL_DIR (set that instead)",
+        ),
+        (
+            "CAD_SERVE_PUMP_GROUPS",
+            "every shard has its own pump thread (set CAD_SERVE_SHARDS instead)",
+        ),
+    ] {
+        if std::env::var_os(retired).is_some() {
+            eprintln!("cad-serve: {retired} is no longer read; {why}");
+            std::process::exit(2);
+        }
     }
     cfg.ops_addr = std::env::var("CAD_OPS_ADDR").ok();
     cfg.explain_rounds = env_usize("CAD_EXPLAIN_ROUNDS", cfg.explain_rounds);
-    cfg.pump_groups = env_usize("CAD_SERVE_PUMP_GROUPS", cfg.pump_groups);
     cfg.hibernate_after_rounds = env_usize("CAD_HIBERNATE_AFTER", cfg.hibernate_after_rounds);
     cfg.spill_dir = std::env::var("CAD_SPILL_DIR").ok().map(PathBuf::from);
     cfg.io_workers = env_usize("CAD_SERVE_IO_WORKERS", cfg.io_workers);

@@ -37,8 +37,8 @@ pub use selfwatch::{SelfWatch, SelfWatchConfig, SelfWatchStatus, SelfWatchVerdic
 pub use server::{CadServer, ServeConfig, ShutdownHandle};
 pub use session::{
     config_from_wal_spec, session_spec_from_wal, Command, Counters, EnqueueError, ManagerConfig,
-    RebalanceError, Reply, ReplyTo, SessionManager, SessionPump, SessionRow, SessionState,
-    TryEnqueueError, WalCounters, WalStatus,
+    Reply, ReplyTo, SessionManager, SessionPump, SessionRow, SessionState, TryEnqueueError,
+    WalCounters, WalStatus,
 };
 pub use timing::{TickTimings, SLOW_RING_CAPACITY, STAGES};
 
@@ -369,65 +369,25 @@ mod tests {
     }
 
     #[test]
-    fn pump_grouping_never_changes_outcome_streams() {
-        // The per-session outcome stream must be bit-identical across any
-        // shard→group assignment: 1 group, one-per-shard, and an uneven
-        // split all agree.
+    fn shard_count_never_changes_outcome_streams() {
+        // The per-session outcome stream must be bit-identical whatever
+        // the shard count: one shard owning every session, one shard per
+        // session, and uneven splits all agree.
         let ids = [2u64, 9, 17, 40];
-        let base = run_sessions(
-            ManagerConfig {
-                shards: 4,
-                pump_groups: 1,
-                ..ManagerConfig::default()
-            },
-            &ids,
-            120,
-        );
-        for groups in [2usize, 3, 4] {
-            let got = run_sessions(
+        let run = |shards: usize| {
+            run_sessions(
                 ManagerConfig {
-                    shards: 4,
-                    pump_groups: groups,
+                    shards,
                     ..ManagerConfig::default()
                 },
                 &ids,
                 120,
-            );
-            assert_eq!(base, got, "outcomes diverged with {groups} pump groups");
-        }
-    }
-
-    #[test]
-    fn rebalance_regroups_without_disturbing_sessions() {
-        let (mgr, pump) = manager(ManagerConfig {
-            shards: 4,
-            pump_groups: 1,
-            ..ManagerConfig::default()
-        });
-        let mut spec = SessionSpec::new(4, 16, 4);
-        spec.k = 1;
-        assert!(matches!(create(&mgr, 3, spec), Reply::Created { .. }));
-        let first: Vec<f64> = (0..40).flat_map(|t| readings(t, 4)).collect();
-        let before = match push(&mgr, 3, 0, 4, first) {
-            Reply::Pushed { outcomes: o, .. } => o,
-            other => panic!("push failed: {other:?}"),
+            )
         };
-        assert!(!before.is_empty());
-        // All replies received → the queues are quiesced.
-        assert_eq!(mgr.queue_depth(), 0);
-        assert_eq!(mgr.rebalance(4).expect("rebalance"), 4);
-        assert_eq!(mgr.pump_groups(), 4);
-        // The session keeps streaming bit-identically after the regroup.
-        let second: Vec<f64> = (40..80).flat_map(|t| readings(t, 4)).collect();
-        match push(&mgr, 3, 40, 4, second) {
-            Reply::Pushed { outcomes: o, .. } => assert!(!o.is_empty()),
-            other => panic!("push failed: {other:?}"),
+        let base = run(1);
+        for shards in [2usize, 3, 4] {
+            assert_eq!(base, run(shards), "outcomes diverged with {shards} shards");
         }
-        // Group counts clamp to 1..=shards.
-        assert_eq!(mgr.rebalance(0).expect("clamped"), 1);
-        assert_eq!(mgr.rebalance(99).expect("clamped"), 4);
-        mgr.close();
-        pump.join().expect("pump");
     }
 
     #[test]

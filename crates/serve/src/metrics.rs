@@ -8,7 +8,7 @@
 //!
 //! | name                           | kind      | labels  | meaning                                  |
 //! |--------------------------------|-----------|---------|------------------------------------------|
-//! | `serve_queue_depth_ticks`      | gauge     | —       | total pending ticks across the group queues after the last enqueue/drain |
+//! | `serve_queue_depth_ticks`      | gauge     | —       | total pending ticks across the shard queues after the last enqueue/drain |
 //! | `serve_push_latency_nanos`     | histogram | —       | PushSamples handling, frame-in to reply-ready |
 //! | `serve_backpressure_wait_nanos`| histogram | —       | time a throttled push waited for queue admission |
 //! | `serve_error_frames_total`     | counter   | `code`  | error frames produced, by protocol code  |

@@ -93,10 +93,10 @@ pub(crate) struct HttpConn {
 pub(crate) enum PumpWait {
     /// `/explain/<id>`: one [`Reply::Explained`] for this session.
     Explain(u64),
-    /// `/sessions`: one [`Reply::Sessions`] per pump group.
+    /// `/sessions`: one [`Reply::Sessions`] per shard.
     Sessions {
-        /// Group replies still due.
-        groups_left: usize,
+        /// Shard replies still due.
+        shards_left: usize,
         /// Rows collected so far.
         rows: Vec<SessionRow>,
     },
@@ -108,7 +108,7 @@ pub(crate) enum Route {
     Respond(Response),
     /// Submit a [`crate::session::Command::Explain`] for this session.
     Explain(u64),
-    /// Broadcast a session-table request to every pump group.
+    /// Broadcast a session-table request to every shard.
     Sessions,
 }
 
@@ -169,10 +169,10 @@ impl HttpConn {
     pub(crate) fn collect(&mut self, reply: Reply, manager: &SessionManager) -> Option<Response> {
         let response = match (self.wait.as_mut()?, reply) {
             (PumpWait::Explain(session_id), reply) => explain_response(*session_id, reply),
-            (PumpWait::Sessions { groups_left, rows }, Reply::Sessions(group_rows)) => {
-                rows.extend(group_rows);
-                *groups_left -= 1;
-                if *groups_left > 0 {
+            (PumpWait::Sessions { shards_left, rows }, Reply::Sessions(shard_rows)) => {
+                rows.extend(shard_rows);
+                *shards_left -= 1;
+                if *shards_left > 0 {
                     return None;
                 }
                 rows.sort_by_key(|r| (r.shard, r.session_id));

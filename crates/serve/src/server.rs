@@ -29,8 +29,8 @@
 //!   or an HTTP response for `/explain` and `/sessions`), flushes what
 //!   the socket accepts and re-arms interest (write interest while bytes
 //!   remain — backpressure parks the *connection*, never a worker);
-//! * the **pumps** (see [`crate::session`]), plus the flight-recorder
-//!   sampler and self-watch threads when configured.
+//! * the **pumps**, one per shard (see [`crate::session`]), plus the
+//!   flight-recorder sampler and self-watch threads when configured.
 //!
 //! One-shot delivery means a token in flight cannot fire again, so two
 //! workers never enter the same connection; a wedged peer (mid-frame
@@ -86,7 +86,7 @@ pub struct ServeConfig {
     pub max_sessions: usize,
     /// Maximum sensors per session.
     pub max_sensors: usize,
-    /// Per-group ingress-queue capacity in ticks.
+    /// Per-shard ingress-queue capacity in ticks.
     pub queue_capacity: usize,
     /// Ops-plane request deadline: a peer whose request head has not
     /// arrived this long after the accept is answered 408.
@@ -103,8 +103,6 @@ pub struct ServeConfig {
     /// Per-session forensics journal bound in rounds (0 disables
     /// journaling; see [`cad_core::ExplainJournal`]).
     pub explain_rounds: usize,
-    /// Pump groups draining the shards (0 = auto: `min(shards, cores)`).
-    pub pump_groups: usize,
     /// Hibernate a session after this many pump sweeps without a push
     /// (0 disables; requires `spill_dir`).
     pub hibernate_after_rounds: usize,
@@ -146,7 +144,6 @@ impl Default for ServeConfig {
             max_connections: 1024,
             ops_addr: None,
             explain_rounds: m.explain_rounds,
-            pump_groups: 0,
             hibernate_after_rounds: 0,
             spill_dir: None,
             io_workers: 0,
@@ -318,7 +315,6 @@ impl CadServer {
             max_sensors: cfg.max_sensors,
             queue_capacity: cfg.queue_capacity,
             explain_rounds: cfg.explain_rounds,
-            pump_groups: cfg.pump_groups,
             hibernate_after_rounds: cfg.hibernate_after_rounds,
             spill_dir: cfg.spill_dir.clone(),
             wal_dir: cfg.wal_dir.clone(),
@@ -375,9 +371,9 @@ impl CadServer {
         self.poller.kind()
     }
 
-    /// The effective pump-group count draining the shards.
-    pub fn pump_groups(&self) -> usize {
-        self.manager.pump_groups()
+    /// The shard count: one ingress queue and one pump thread each.
+    pub fn shards(&self) -> usize {
+        self.manager.shards()
     }
 
     /// The effective connection I/O worker-pool size.
@@ -932,8 +928,8 @@ fn service_http(shared: &IoShared, conn: &mut Conn) -> bool {
             .manager
             .request_session_table(reply)
             .ok()
-            .map(|groups_left| PumpWait::Sessions {
-                groups_left,
+            .map(|shards_left| PumpWait::Sessions {
+                shards_left,
                 rows: Vec::new(),
             }),
     };

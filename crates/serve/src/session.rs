@@ -1,26 +1,21 @@
 //! Session manager: many independent [`StreamingCad`] detectors behind
-//! bounded ingress queues, sharded across worker threads and pumped by
-//! one drain loop per shard *group*.
+//! bounded ingress queues, sharded across worker threads, one drain
+//! thread per shard.
 //!
 //! ## Routing and determinism
 //!
-//! Every session is owned by exactly one shard (`session_id % n_shards`)
-//! and every shard by exactly one pump group (`shard * n_groups /
-//! n_shards` — contiguous ranges, monotone in the shard index). Each
-//! group owns a bounded queue; connection handlers enqueue commands into
-//! the owning group's queue, and that group's pump thread drains it in
-//! arrival order, groups the batch by shard (stable — preserves
-//! per-session order) and processes its shards in parallel through
-//! [`cad_runtime::par_map_mut`]. Sessions never share state across
+//! Every session is owned by exactly one shard (`session_id % n_shards`),
+//! and every shard owns a bounded queue and one pump thread. Connection
+//! handlers enqueue commands into the owning shard's queue, and its pump
+//! drains them in arrival order. Sessions never share state across
 //! shards, and one session's commands are only ever handled by its own
 //! shard in FIFO order, so each session's outcome stream is exactly what
-//! a serial loop over the same pushes would produce — regardless of the
-//! group count. `pump_groups = 1` reproduces the old single-pump layout
-//! bit for bit; any other grouping produces the same per-session streams.
+//! a serial loop over the same pushes would produce, whatever the shard
+//! count.
 //!
 //! ## Backpressure
 //!
-//! Each group queue is bounded in *ticks* (pending samples), not
+//! Each shard queue is bounded in *ticks* (pending samples), not
 //! commands, so memory stays proportional to the configured capacity no
 //! matter how the clients batch. [`SessionManager::would_block`] lets a
 //! connection handler emit an explicit
@@ -45,7 +40,7 @@
 //! `Close` or an unusable payload deletes it.
 //!
 //! With `hibernate_after_rounds > 0`, a session that sees no push for
-//! that many pump sweeps (a sweep is one drain iteration of its group —
+//! that many pump sweeps (a sweep is one drain of its shard's queue —
 //! roughly one batch under load, one 100 ms idle tick otherwise) is
 //! written out and its in-memory state dropped, leaving only a small
 //! metadata stub. The next command for that id transparently resurrects
@@ -60,29 +55,20 @@
 //! each file's `samples_seen` seeds the session's durable watermark —
 //! the only cross-reference between the files and the log.
 //!
-//! ## Rebalance
-//!
-//! [`SessionManager::rebalance`] changes the group count on a quiesced
-//! manager (all queues empty): it retires the current queue generation,
-//! swaps in a fresh one, and the pump master joins its group threads and
-//! respawns them over the new layout. Producers that raced into a retired
-//! queue re-route; producers never park on a non-empty retired queue
-//! because retirement requires empty queues.
-//!
 //! ## Shutdown
 //!
-//! Closing the manager wakes every group, which drains its remaining
-//! commands, replies to the waiting handlers and exits; the master then
-//! writes every resident session's file to `spill_dir`. A server
-//! restarted over the same directories resumes each session mid-window,
-//! bit-identically.
+//! Closing the manager wakes every shard's pump, which drains its
+//! remaining commands, replies to the waiting handlers, writes each of
+//! its resident sessions' files to `spill_dir`, syncs its WAL and exits.
+//! A server restarted over the same directories resumes each session
+//! mid-window, bit-identically.
 
 use std::collections::{BTreeMap, VecDeque};
 use std::io::{BufRead, Write};
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicBool, AtomicI64, AtomicU64, Ordering};
 use std::sync::mpsc::Sender;
-use std::sync::{Arc, Condvar, Mutex, RwLock};
+use std::sync::{Arc, Condvar, Mutex};
 use std::time::{Duration, Instant};
 
 use cad_core::{
@@ -111,17 +97,13 @@ pub struct ManagerConfig {
     pub max_sessions: usize,
     /// Maximum sensors per session.
     pub max_sensors: usize,
-    /// Per-group ingress-queue capacity in ticks (pending samples).
+    /// Per-shard ingress-queue capacity in ticks (pending samples).
     pub queue_capacity: usize,
     /// Forensics-journal capacity applied to every session (rounds
     /// retained for `/explain`; 0 disables journaling). Applied on create
     /// *and* after a session file is loaded, so the server configuration
     /// is authoritative regardless of what a file recorded.
     pub explain_rounds: usize,
-    /// Pump groups draining the shards (0 = auto:
-    /// `min(shards, cad_runtime::effective_threads())`). Clamped to
-    /// `1..=shards`.
-    pub pump_groups: usize,
     /// Hibernate a session after this many pump sweeps without a push
     /// (0 disables hibernation). Requires `spill_dir`.
     pub hibernate_after_rounds: usize,
@@ -153,7 +135,6 @@ impl Default for ManagerConfig {
             max_sensors: 1024,
             queue_capacity: 8192,
             explain_rounds: 256,
-            pump_groups: 0,
             hibernate_after_rounds: 0,
             spill_dir: None,
             wal_dir: None,
@@ -162,23 +143,6 @@ impl Default for ManagerConfig {
             wal_retain_bytes: 0,
         }
     }
-}
-
-impl ManagerConfig {
-    fn effective_groups(&self) -> usize {
-        let shards = self.shards.max(1);
-        let auto = cad_runtime::effective_threads().min(shards).max(1);
-        match self.pump_groups {
-            0 => auto,
-            g => g.clamp(1, shards),
-        }
-    }
-}
-
-/// Which pump group drains `shard` when `n_shards` are split across
-/// `n_groups`. Contiguous and monotone, so each group owns a range.
-fn group_of(shard: usize, n_shards: usize, n_groups: usize) -> usize {
-    shard * n_groups / n_shards
 }
 
 /// Reply to one command, delivered through the command's own channel.
@@ -322,10 +286,9 @@ pub enum Command {
         /// Reply destination.
         reply: ReplyTo,
     },
-    /// Read the session table of the *receiving group's* shards. The
-    /// group pump answers it after the batch's shard fan-out, when it has
-    /// exclusive access to its shards;
-    /// [`SessionManager::request_session_table`] broadcasts one per group
+    /// Read the session table of the *receiving* shard, answered in
+    /// queue order by its pump;
+    /// [`SessionManager::request_session_table`] broadcasts one per shard
     /// and the caller merges the rows into the cross-shard table.
     SessionTable {
         /// Reply destination.
@@ -393,7 +356,7 @@ enum Work {
 }
 
 impl Command {
-    /// The target session (drives shard + group routing).
+    /// The target session (drives shard routing).
     pub fn session_id(&self) -> u64 {
         match self {
             Command::Create { session_id, .. }
@@ -403,7 +366,7 @@ impl Command {
             | Command::Close { session_id, .. }
             | Command::Stats { session_id, .. }
             | Command::Explain { session_id, .. } => *session_id,
-            // Broadcast to every group, never routed by session (see
+            // Broadcast to every shard, never routed by session (see
             // `request_session_table`).
             Command::SessionTable { .. } => 0,
         }
@@ -451,7 +414,7 @@ impl Command {
             Command::Stats { session_id, reply } => (session_id, Work::Stats, reply),
             Command::Explain { session_id, reply } => (session_id, Work::Explain, reply),
             Command::SessionTable { .. } => {
-                unreachable!("SessionTable is answered by the group pump, never by a shard")
+                unreachable!("SessionTable is answered by Shard::run before the split")
             }
         }
     }
@@ -472,7 +435,7 @@ pub struct Counters {
     pub total_anomalies: AtomicU64,
     /// Backpressure frames emitted.
     pub backpressure_events: AtomicU64,
-    /// High-water mark of total pending ticks across all group queues.
+    /// High-water mark of total pending ticks across all shard queues.
     pub peak_queue_depth: AtomicU64,
     /// Sessions hibernated to their session files.
     pub hibernations: AtomicU64,
@@ -658,8 +621,8 @@ struct Shard {
     /// Resident-session gauge for this shard
     /// (`serve_shard_sessions{shard=i}`), resolved once at construction.
     sessions_gauge: Arc<Gauge>,
-    /// Drain iterations of the owning group since process start; the
-    /// hibernation clock.
+    /// Drains of this shard's queue since process start; the hibernation
+    /// clock.
     sweep: u64,
     /// Earliest sweep at which the hibernation scan could find an idle
     /// session; while `sweep < hibernate_check_at` the O(resident) scan is
@@ -707,46 +670,27 @@ impl Shard {
     }
 }
 
+#[derive(Default)]
 struct IngressQueue {
     /// Pending commands, each stamped with its admission instant so the
     /// pump can attribute ingress-queue wait per push.
     jobs: VecDeque<(Command, Instant)>,
     pending_ticks: usize,
-    /// Set by [`SessionManager::rebalance`]: this queue generation is
-    /// dead, producers must re-route and the group pump must exit.
-    retired: bool,
 }
 
-/// One pump group's bounded ingress queue.
-struct GroupQueue {
+/// One shard's bounded ingress queue.
+#[derive(Default)]
+struct ShardQueue {
     q: Mutex<IngressQueue>,
     not_empty: Condvar,
-    not_full: Condvar,
-}
-
-impl GroupQueue {
-    fn new() -> Self {
-        Self {
-            q: Mutex::new(IngressQueue {
-                jobs: VecDeque::new(),
-                pending_ticks: 0,
-                retired: false,
-            }),
-            not_empty: Condvar::new(),
-            not_full: Condvar::new(),
-        }
-    }
 }
 
 struct Shared {
     cfg: ManagerConfig,
-    n_shards: usize,
-    /// Current queue generation, one queue per pump group. Swapped whole
-    /// by [`SessionManager::rebalance`]; readers clone the `Arc`s and
-    /// never hold the lock across a wait.
-    queues: RwLock<Vec<Arc<GroupQueue>>>,
+    /// One queue per shard, indexed like the shards.
+    queues: Vec<ShardQueue>,
     closed: AtomicBool,
-    /// Total pending ticks across all group queues — the global depth
+    /// Total pending ticks across all shard queues — the global depth
     /// gauge without any cross-queue lock ordering.
     pending_total: AtomicI64,
     counters: Counters,
@@ -767,8 +711,8 @@ pub struct SessionManager {
     shared: Arc<Shared>,
 }
 
-/// The pump half: owns the shards, spawns one drain loop per group until
-/// the manager is closed, then persists every resident session.
+/// The pump half: owns the shards and runs one drain thread per shard
+/// until the manager is closed; each then persists its resident sessions.
 pub struct SessionPump {
     shared: Arc<Shared>,
     shards: Vec<Shard>,
@@ -787,17 +731,8 @@ pub enum EnqueueError {
 pub enum TryEnqueueError {
     /// The manager is closed: the server is shutting down.
     ShuttingDown(Command),
-    /// Admission would block; retry after the group drains.
+    /// Admission would block; retry after the shard drains.
     Full(Command),
-}
-
-/// Errors surfaced by [`SessionManager::rebalance`].
-#[derive(Debug, PartialEq, Eq)]
-pub enum RebalanceError {
-    /// The manager is closed.
-    ShuttingDown,
-    /// At least one group queue still holds commands; quiesce first.
-    NotQuiesced,
 }
 
 fn validate_spec(spec: &SessionSpec, max_sensors: usize) -> Result<CadConfig, (u16, String)> {
@@ -1310,16 +1245,22 @@ impl Shard {
         }
     }
 
-    /// Process this shard's slice of the drained batch, in arrival order.
+    /// Process one drained batch of this shard's queue, in arrival order.
+    /// A [`Command::SessionTable`] is answered with the rows as of its
+    /// place in the queue.
     fn run(
         &mut self,
-        cmds: Vec<(Command, Instant)>,
+        batch: VecDeque<(Command, Instant)>,
         drained_at: Instant,
         shared: &Shared,
     ) -> Vec<(ReplyTo, Reply)> {
         let _t = Timer::start("serve.shard");
-        let mut out = Vec::with_capacity(cmds.len());
-        for (cmd, enqueued_at) in cmds {
+        let mut out = Vec::with_capacity(batch.len());
+        for (cmd, enqueued_at) in batch {
+            if let Command::SessionTable { reply } = cmd {
+                out.push((reply, Reply::Sessions(self.rows())));
+                continue;
+            }
             let (session_id, work, reply_to) = cmd.into_parts();
             let exec_start = Instant::now();
             let lead = StageLead {
@@ -2097,13 +2038,10 @@ impl SessionManager {
                 .map(|s| (s.sessions.len() + s.hibernated.len()) as u64)
                 .sum();
         }
-        let n_groups = cfg.effective_groups();
-        let queues = (0..n_groups).map(|_| Arc::new(GroupQueue::new())).collect();
         let wal_enabled = cfg.wal_dir.is_some();
         let shared = Arc::new(Shared {
             cfg,
-            n_shards: shards_n,
-            queues: RwLock::new(queues),
+            queues: (0..shards_n).map(|_| ShardQueue::default()).collect(),
             closed: AtomicBool::new(false),
             pending_total: AtomicI64::new(0),
             counters: Counters::default(),
@@ -2175,40 +2113,56 @@ impl SessionManager {
         (self.shared.cfg.max_sessions, self.shared.cfg.max_sensors)
     }
 
-    /// Current pump-group count.
-    pub fn pump_groups(&self) -> usize {
-        self.shared.queues.read().expect("queue set poisoned").len()
+    /// Shard count: one queue and one pump thread each.
+    pub fn shards(&self) -> usize {
+        self.shared.queues.len()
     }
 
-    /// Total pending ticks across all group queues.
+    /// Total pending ticks across all shard queues.
     pub fn queue_depth(&self) -> usize {
         self.shared.pending_total.load(Ordering::Relaxed).max(0) as usize
     }
 
-    /// The group queue a session's commands route to, under the current
-    /// queue generation.
-    fn queue_for(&self, session_id: u64) -> Arc<GroupQueue> {
-        let queues = self.shared.queues.read().expect("queue set poisoned");
-        let n_shards = self.shared.n_shards;
-        let shard = (session_id % n_shards as u64) as usize;
-        Arc::clone(&queues[group_of(shard, n_shards, queues.len())])
+    /// The queue of the shard that owns `session_id`.
+    fn queue_for(&self, session_id: u64) -> &ShardQueue {
+        let queues = &self.shared.queues;
+        &queues[(session_id % queues.len() as u64) as usize]
     }
 
     /// Whether enqueueing a command of this cost for this session would
     /// block right now — the handler's cue to send an explicit
     /// `Backpressure` frame first.
     pub fn would_block(&self, session_id: u64, cost: usize) -> bool {
-        let queue = self.queue_for(session_id);
-        let q = queue.q.lock().expect("ingress queue poisoned");
+        let q = self
+            .queue_for(session_id)
+            .q
+            .lock()
+            .expect("ingress queue poisoned");
         !self.shared.is_closed()
             && cost > 0
             && q.pending_ticks > 0
             && q.pending_ticks + cost > self.shared.cfg.queue_capacity
     }
 
-    /// Admit `cmd` into `q`, which the caller verified it fits. Returns
-    /// the *global* queue depth after admission.
-    fn admit(&self, queue: &GroupQueue, q: &mut IngressQueue, cmd: Command, cost: usize) -> usize {
+    /// Submit a command without blocking: either it is queued, or it
+    /// comes back in the error so the caller can park the *connection*
+    /// (not a thread) and retry after the shard drains. The bound is in
+    /// ticks; control commands (cost 0) are always admitted, and a batch
+    /// larger than the whole capacity enters an *empty* queue alone.
+    /// Returns the global queue depth (ticks) after admission.
+    pub fn try_enqueue(&self, cmd: Command) -> Result<usize, TryEnqueueError> {
+        let cost = cmd.cost();
+        let queue = self.queue_for(cmd.session_id());
+        let mut q = queue.q.lock().expect("ingress queue poisoned");
+        if self.shared.is_closed() {
+            return Err(TryEnqueueError::ShuttingDown(cmd));
+        }
+        let fits = cost == 0
+            || q.pending_ticks == 0
+            || q.pending_ticks + cost <= self.shared.cfg.queue_capacity;
+        if !fits {
+            return Err(TryEnqueueError::Full(cmd));
+        }
         q.pending_ticks += cost;
         let total = self
             .shared
@@ -2223,80 +2177,15 @@ impl SessionManager {
         metrics::queue_depth_gauge().set(depth as i64);
         q.jobs.push_back((cmd, Instant::now()));
         queue.not_empty.notify_all();
-        depth
+        Ok(depth)
     }
 
-    /// Submit a command without blocking: either it is queued, or it
-    /// comes back in the error so the caller can park the *connection*
-    /// (not a thread) and retry after the group drains. The bound is in
-    /// ticks; control commands (cost 0) are always admitted, and a batch
-    /// larger than the whole capacity enters an *empty* queue alone.
-    /// Returns the global queue depth (ticks) after admission.
-    pub fn try_enqueue(&self, cmd: Command) -> Result<usize, TryEnqueueError> {
-        let cost = cmd.cost();
-        let session_id = cmd.session_id();
-        loop {
-            if self.shared.is_closed() {
-                return Err(TryEnqueueError::ShuttingDown(cmd));
-            }
-            let queue = self.queue_for(session_id);
-            let mut q = queue.q.lock().expect("ingress queue poisoned");
-            if self.shared.is_closed() {
-                return Err(TryEnqueueError::ShuttingDown(cmd));
-            }
-            if q.retired {
-                continue;
-            }
-            let fits = cost == 0
-                || q.pending_ticks == 0
-                || q.pending_ticks + cost <= self.shared.cfg.queue_capacity;
-            if fits {
-                return Ok(self.admit(&queue, &mut q, cmd, cost));
-            }
-            return Err(TryEnqueueError::Full(cmd));
-        }
-    }
-
-    /// Change the pump-group count on a quiesced manager. Every current
-    /// queue must be empty; the old generation is retired (its pump
-    /// threads exit and the master respawns over the new layout) and a
-    /// fresh queue per group is installed. Returns the effective group
-    /// count (clamped to `1..=shards`).
-    pub fn rebalance(&self, groups: usize) -> Result<usize, RebalanceError> {
-        let mut queues = self.shared.queues.write().expect("queue set poisoned");
-        if self.shared.is_closed() {
-            return Err(RebalanceError::ShuttingDown);
-        }
-        let old: Vec<Arc<GroupQueue>> = queues.clone();
-        {
-            let mut guards = Vec::with_capacity(old.len());
-            for queue in &old {
-                guards.push(queue.q.lock().expect("ingress queue poisoned"));
-            }
-            if guards.iter().any(|g| !g.jobs.is_empty()) {
-                return Err(RebalanceError::NotQuiesced);
-            }
-            for (guard, queue) in guards.iter_mut().zip(&old) {
-                guard.retired = true;
-                queue.not_empty.notify_all();
-                queue.not_full.notify_all();
-            }
-        }
-        let n = groups.clamp(1, self.shared.n_shards);
-        *queues = (0..n).map(|_| Arc::new(GroupQueue::new())).collect();
-        Ok(n)
-    }
-
-    /// Ask every pump group for its slice of the session table, each
+    /// Ask every shard for its slice of the session table, each
     /// answering `reply` with one [`Reply::Sessions`]. Returns how many
-    /// replies to expect; merged, they form a consistent cross-shard
-    /// table. Never blocks on a saturated queue (control commands cost
-    /// nothing).
+    /// replies to expect; merged, they form the cross-shard table. Never
+    /// blocks on a saturated queue (control commands cost nothing).
     pub fn request_session_table(&self, reply: ReplyTo) -> Result<usize, EnqueueError> {
-        // Held across the broadcast: a rebalance (which takes the write
-        // lock) cannot retire a queue under it.
-        let queues = self.shared.queues.read().expect("queue set poisoned");
-        for queue in queues.iter() {
+        for queue in &self.shared.queues {
             let mut q = queue.q.lock().expect("ingress queue poisoned");
             if self.shared.is_closed() {
                 return Err(EnqueueError::ShuttingDown);
@@ -2309,21 +2198,19 @@ impl SessionManager {
             ));
             queue.not_empty.notify_all();
         }
-        Ok(queues.len())
+        Ok(self.shared.queues.len())
     }
 
-    /// Close every queue: wakes the group pumps for their final
+    /// Close every queue: wakes the shard pumps for their final
     /// drain-and-persist pass and makes every later
     /// [`SessionManager::try_enqueue`] fail.
     pub fn close(&self) {
         self.shared.closed.store(true, Ordering::Release);
-        let queues = self.shared.queues.read().expect("queue set poisoned");
-        for queue in queues.iter() {
+        for queue in &self.shared.queues {
             // Take the lock so a waiter between its closed-check and its
             // wait cannot miss the wakeup.
             let _q = queue.q.lock().expect("ingress queue poisoned");
             queue.not_empty.notify_all();
-            queue.not_full.notify_all();
         }
     }
 }
@@ -2349,108 +2236,38 @@ fn scan_session_files(dir: &Path) -> std::io::Result<Vec<(u64, PathBuf)>> {
         .collect())
 }
 
-/// Why a group drain loop returned.
-enum GroupExit {
-    /// The manager closed; the queue was drained to empty first.
-    Closed,
-    /// The queue generation was retired by a rebalance.
-    Retired,
-}
-
 impl SessionPump {
-    /// Drain the queues until the manager is closed, then persist every
-    /// resident session. Returns the number of sessions persisted.
-    ///
-    /// Each queue generation gets one scoped thread per group; a
-    /// rebalance retires the generation, the threads hand their shards
-    /// back, and the master respawns them over the new layout.
-    pub fn run(mut self) -> usize {
-        loop {
-            let queues: Vec<Arc<GroupQueue>> = self
-                .shared
-                .queues
-                .read()
-                .expect("queue set poisoned")
-                .clone();
-            let n_groups = queues.len();
-            let n_shards = self.shared.n_shards;
-            let mut buckets: Vec<Vec<Shard>> = (0..n_groups).map(|_| Vec::new()).collect();
-            for shard in self.shards.drain(..) {
-                buckets[group_of(shard.index, n_shards, n_groups)].push(shard);
-            }
-            let shared = &self.shared;
-            let results: Vec<(Vec<Shard>, GroupExit)> = std::thread::scope(|s| {
-                let handles: Vec<_> = buckets
-                    .into_iter()
-                    .zip(&queues)
-                    .map(|(bucket, queue)| {
-                        let queue = Arc::clone(queue);
-                        s.spawn(move || run_group(&queue, bucket, shared))
-                    })
-                    .collect();
-                handles
-                    .into_iter()
-                    .map(|h| h.join().expect("pump group panicked"))
-                    .collect()
-            });
-            let mut closed = false;
-            for (bucket, exit) in results {
-                if matches!(exit, GroupExit::Closed) {
-                    closed = true;
-                }
-                self.shards.extend(bucket);
-            }
-            self.shards.sort_by_key(|shard| shard.index);
-            if closed || self.shared.is_closed() {
-                break;
-            }
-        }
-        self.persist_all()
-    }
-
-    /// Write every resident session's file (hibernated sessions already
-    /// have theirs) and flush every shard's log. Returns the number of
-    /// files written; 0 without a `spill_dir`.
-    fn persist_all(&mut self) -> usize {
-        let shared = Arc::clone(&self.shared);
-        if shared.cfg.spill_dir.is_none() && shared.wal.is_none() {
-            return 0;
-        }
-        let _t = Timer::start("serve.persist");
-        let persisted = cad_runtime::par_map_mut(&mut self.shards, |_, shard| {
-            let mut n = 0usize;
-            if shared.cfg.spill_dir.is_some() {
-                let ids: Vec<u64> = shard.sessions.keys().copied().collect();
-                for id in ids {
-                    n += shard.persist(&shared.cfg, id).is_ok() as usize;
-                }
-            }
-            if let Some(wal) = shard.wal.as_mut() {
-                // Graceful shutdown leaves nothing in the page cache even
-                // under `never`/`every_n` policies.
-                if let Err(e) = wal.sync() {
-                    eprintln!("cad-serve: shard {}: WAL sync failed: {e}", shard.index);
-                }
-            }
-            n
-        });
-        persisted.into_iter().sum()
+    /// Run one drain thread per shard until the manager is closed; each
+    /// drains its queue to empty, then persists its resident sessions.
+    /// Returns the number of sessions persisted.
+    pub fn run(self) -> usize {
+        let SessionPump { shared, shards } = self;
+        let shared = &*shared;
+        std::thread::scope(|s| {
+            let pumps: Vec<_> = shards
+                .into_iter()
+                .map(|shard| s.spawn(move || run_shard(shard, shared)))
+                .collect();
+            pumps
+                .into_iter()
+                .map(|pump| pump.join().expect("shard pump panicked"))
+                .sum()
+        })
     }
 }
 
-/// One group's drain loop: blocks on its queue, pumps batches through its
-/// shards, and advances the hibernation clock. Returns the shards so the
-/// master can regroup them.
-fn run_group(
-    queue: &GroupQueue,
-    mut shards: Vec<Shard>,
-    shared: &Shared,
-) -> (Vec<Shard>, GroupExit) {
+/// One shard's drain loop: blocks on its queue, runs each batch through
+/// the shard and advances the hibernation clock. Once the manager is
+/// closed and the queue empty, it writes every resident session's file
+/// (hibernated sessions already have theirs) and syncs the shard's log.
+/// Returns the number of files written; 0 without a `spill_dir`.
+fn run_shard(mut shard: Shard, shared: &Shared) -> usize {
+    let queue = &shared.queues[shard.index];
     let hibernate_after = shared.cfg.hibernate_after_rounds as u64;
     let hibernation = hibernate_after > 0 && shared.cfg.spill_dir.is_some();
     let mut batches = 0u64;
     loop {
-        let mut exit = None;
+        let mut closed = false;
         let batch = {
             let mut q = queue.q.lock().expect("ingress queue poisoned");
             loop {
@@ -2460,15 +2277,10 @@ fn run_group(
                     let total =
                         shared.pending_total.fetch_sub(drained, Ordering::Relaxed) - drained;
                     metrics::queue_depth_gauge().set(total.max(0));
-                    queue.not_full.notify_all();
                     break std::mem::take(&mut q.jobs);
                 }
-                if q.retired {
-                    exit = Some(GroupExit::Retired);
-                    break VecDeque::new();
-                }
                 if shared.is_closed() {
-                    exit = Some(GroupExit::Closed);
+                    closed = true;
                     break VecDeque::new();
                 }
                 let (guard, wait) = queue
@@ -2483,12 +2295,15 @@ fn run_group(
                 }
             }
         };
-        let had_work = !batch.is_empty();
-        if had_work {
+        if !batch.is_empty() {
             // One instant for the whole batch: per-command queue wait is
             // measured to the drain, per-command dispatch from it.
             let drained_at = Instant::now();
-            pump_group_batch(&mut shards, batch, drained_at, shared);
+            let pump = Timer::start("serve.pump");
+            for (reply_to, reply) in shard.run(batch, drained_at, shared) {
+                reply_to.send(reply);
+            }
+            drop(pump);
             batches += 1;
             // Keep the RSS and thread gauges warm under load but never
             // touch them while quiesced — scrape-to-scrape byte parity
@@ -2499,72 +2314,33 @@ fn run_group(
                 let _ = cad_obs::sample_process_threads();
             }
         }
-        for shard in shards.iter_mut() {
-            shard.sweep += 1;
-        }
+        shard.sweep += 1;
         if hibernation {
-            for shard in shards.iter_mut() {
-                shard.hibernate_idle(shared, hibernate_after);
-            }
+            shard.hibernate_idle(shared, hibernate_after);
         }
         // No-op unless an append rolled a segment since the last pass.
-        for shard in shards.iter_mut() {
-            shard.wal_compact(shared);
-        }
-        if let Some(exit) = exit {
-            return (shards, exit);
+        shard.wal_compact(shared);
+        if closed {
+            break;
         }
     }
-}
-
-/// Group one drained batch by owning shard (stable, so per-session order
-/// is preserved) and process this group's shards in parallel. Group-local
-/// [`Command::SessionTable`] reads are answered afterwards, when the
-/// group again has exclusive access to its shards — so the rows are a
-/// consistent snapshot that includes this batch's effects.
-fn pump_group_batch(
-    shards: &mut [Shard],
-    batch: VecDeque<(Command, Instant)>,
-    drained_at: Instant,
-    shared: &Shared,
-) {
-    // This group's shards are a contiguous index range (see `group_of`).
-    let base = shards.first().map(|s| s.index).unwrap_or(0);
-    let mut per_shard: Vec<Vec<(Command, Instant)>> = shards.iter().map(|_| Vec::new()).collect();
-    let mut table_requests = Vec::new();
-    for (cmd, enqueued_at) in batch {
-        if let Command::SessionTable { reply } = cmd {
-            table_requests.push(reply);
-            continue;
-        }
-        let shard_ix = (cmd.session_id() % shared.n_shards as u64) as usize;
-        debug_assert!(
-            shard_ix >= base && shard_ix - base < per_shard.len(),
-            "command routed to a queue whose group does not own shard {shard_ix}"
-        );
-        per_shard[shard_ix - base].push((cmd, enqueued_at));
+    if shared.cfg.spill_dir.is_none() && shard.wal.is_none() {
+        return 0;
     }
-    let _t = Timer::start("serve.pump");
-    // par_map_mut takes a shared closure; each slot is taken by exactly
-    // one shard index, so a Mutex per slot adds no ordering hazard.
-    let slots: Vec<Mutex<Vec<(Command, Instant)>>> =
-        per_shard.into_iter().map(Mutex::new).collect();
-    let replies = cad_runtime::par_map_mut(shards, |i, shard| {
-        let cmds = std::mem::take(&mut *slots[i].lock().expect("command slot poisoned"));
-        shard.run(cmds, drained_at, shared)
-    });
-    for shard_replies in replies {
-        for (reply_to, reply) in shard_replies {
-            reply_to.send(reply);
+    let _t = Timer::start("serve.persist");
+    let mut persisted = 0usize;
+    if shared.cfg.spill_dir.is_some() {
+        let ids: Vec<u64> = shard.sessions.keys().copied().collect();
+        for id in ids {
+            persisted += shard.persist(&shared.cfg, id).is_ok() as usize;
         }
     }
-    if !table_requests.is_empty() {
-        let mut rows = Vec::new();
-        for shard in shards.iter() {
-            rows.extend(shard.rows());
-        }
-        for reply_to in table_requests {
-            reply_to.send(Reply::Sessions(rows.clone()));
+    if let Some(wal) = shard.wal.as_mut() {
+        // Graceful shutdown leaves nothing in the page cache even under
+        // `never`/`every_n` policies.
+        if let Err(e) = wal.sync() {
+            eprintln!("cad-serve: shard {}: WAL sync failed: {e}", shard.index);
         }
     }
+    persisted
 }

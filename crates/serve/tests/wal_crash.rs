@@ -252,38 +252,44 @@ fn spawn_cad_serve(wal_dir: &PathBuf, state_dir: Option<&Path>, shards: usize) -
     (child, addr)
 }
 
-/// The retired snapshot directory variable must stop the daemon before
-/// it binds (exit 2, naming `CAD_SPILL_DIR`), so a deployment that still
-/// sets it cannot silently run without persistence.
+/// Each retired variable must stop the daemon before it binds (exit 2,
+/// naming its replacement), so a deployment that still sets it cannot
+/// silently run without persistence or with a layout it did not ask for.
 #[test]
 fn retired_snapshot_dir_variable_is_refused() {
-    let mut child = Command::new(env!("CARGO_BIN_EXE_cad-serve"))
-        .env("CAD_SERVE_ADDR", "127.0.0.1:0")
-        .env("CAD_SERVE_SNAPSHOT_DIR", std::env::temp_dir())
-        .env_remove("CAD_OPS_ADDR")
-        .stderr(Stdio::piped())
-        .stdout(Stdio::null())
-        .spawn()
-        .expect("spawn cad-serve");
-    // A daemon that ignored the variable would serve forever; bound the
-    // wait so that regression fails instead of hanging the suite.
-    let deadline = Instant::now() + Duration::from_secs(10);
-    let status = loop {
-        if let Some(status) = child.try_wait().expect("poll cad-serve") {
-            break status;
-        }
-        if Instant::now() > deadline {
-            child.kill().expect("kill cad-serve");
-            child.wait().expect("reap");
-            panic!("cad-serve started despite CAD_SERVE_SNAPSHOT_DIR");
-        }
-        std::thread::sleep(Duration::from_millis(20));
-    };
-    assert_eq!(status.code(), Some(2));
-    let mut stderr = String::new();
-    std::io::Read::read_to_string(&mut child.stderr.take().expect("stderr"), &mut stderr)
-        .expect("read stderr");
-    assert!(stderr.contains("CAD_SPILL_DIR"), "{stderr}");
+    let temp = std::env::temp_dir();
+    for (retired, value, replacement) in [
+        ("CAD_SERVE_SNAPSHOT_DIR", temp.as_os_str(), "CAD_SPILL_DIR"),
+        ("CAD_SERVE_PUMP_GROUPS", "2".as_ref(), "CAD_SERVE_SHARDS"),
+    ] {
+        let mut child = Command::new(env!("CARGO_BIN_EXE_cad-serve"))
+            .env("CAD_SERVE_ADDR", "127.0.0.1:0")
+            .env(retired, value)
+            .env_remove("CAD_OPS_ADDR")
+            .stderr(Stdio::piped())
+            .stdout(Stdio::null())
+            .spawn()
+            .expect("spawn cad-serve");
+        // A daemon that ignored the variable would serve forever; bound
+        // the wait so that regression fails instead of hanging the suite.
+        let deadline = Instant::now() + Duration::from_secs(10);
+        let status = loop {
+            if let Some(status) = child.try_wait().expect("poll cad-serve") {
+                break status;
+            }
+            if Instant::now() > deadline {
+                child.kill().expect("kill cad-serve");
+                child.wait().expect("reap");
+                panic!("cad-serve started despite {retired}");
+            }
+            std::thread::sleep(Duration::from_millis(20));
+        };
+        assert_eq!(status.code(), Some(2), "{retired}");
+        let mut stderr = String::new();
+        std::io::Read::read_to_string(&mut child.stderr.take().expect("stderr"), &mut stderr)
+            .expect("read stderr");
+        assert!(stderr.contains(replacement), "{retired}: {stderr}");
+    }
 }
 
 #[test]
